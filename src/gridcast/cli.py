@@ -282,36 +282,34 @@ def cmd_predict(
     grid = ogm.GridSpec.custom(params.config.q_w, params.config.q_l) if (params.config.q_w, params.config.q_l) != (36, 21) else ogm.GridSpec()
     records = datagen.read_dataset(data_path)
     obs_len = params.config.obs_len
-    with open(out_path, "w", encoding="utf-8") as f:
-        for rec in records:
-            if rec.frames.shape[0] < obs_len:
-                print(
-                    f"error: scenario {rec.scenario_id} vehicle {rec.vehicle_id}: "
-                    f"{rec.frames.shape[0]} frames < observation length {obs_len}",
-                    file=sys.stderr,
-                )
-                return 2
-            window = rec.frames[-obs_len:]
-            summary = seq2seq.encode(params, window)
-            if greedy:
-                hyps = [seq2seq.greedy_decode(params, summary, horizon)]
-            else:
-                hyps = seq2seq.beam_search_decode(params, summary, beam_width, horizon).hypotheses
-            obj = {
-                "scenario_id": rec.scenario_id,
-                "vehicle_id": rec.vehicle_id,
-                "hypotheses": [
-                    {
-                        "log_prob": h.log_prob,
-                        "cells": [
-                            [c.w, c.l] if c.in_map else None
-                            for c in (ogm.unflatten(q, grid) for q in h.sequence)
-                        ],
-                    }
-                    for h in hyps
-                ],
-            }
-            f.write(json.dumps(obj) + "\n")
+    for rec in records:
+        if rec.frames.shape[0] < obs_len:
+            print(
+                f"error: scenario {rec.scenario_id} vehicle {rec.vehicle_id}: "
+                f"{rec.frames.shape[0]} frames < observation length {obs_len}",
+                file=sys.stderr,
+            )
+            return 2
+    windows = [rec.frames[-obs_len:] for rec in records]
+    if greedy:
+        # one vehicle at a time: the output is bit-identical to a
+        # single-vehicle beam of width 1
+        per_vehicle = [[seq2seq.greedy_decode(params, seq2seq.encode(params, w), horizon)] for w in windows]
+    else:
+        per_vehicle = [p.hypotheses for p in seq2seq.predict_scene(params, windows, beam_width, horizon)]
+    lines = []
+    for rec, hyps in zip(records, per_vehicle):
+        w, l = ogm.unflatten_indices([h.sequence for h in hyps], grid)
+        obj = {
+            "scenario_id": rec.scenario_id,
+            "vehicle_id": rec.vehicle_id,
+            "hypotheses": [
+                {"log_prob": h.log_prob, "cells": [[a, b] if a else None for a, b in zip(ws, ls)]}
+                for h, ws, ls in zip(hyps, w.tolist(), l.tolist())
+            ],
+        }
+        lines.append(json.dumps(obj) + "\n")
+    seq2seq.write_atomic(out_path, "".join(lines).encode("utf-8"), prefix=".predict-")
     print(f"wrote predictions for {len(records)} vehicles to {out_path}")
     return 0
 
@@ -327,48 +325,44 @@ def cmd_eval(
     manifest = datagen.read_manifest(data_path)
     test_records = _split_records(records, manifest)["test"]
     eval_cfg = cfg.eval
+    grid = cfg.grid
 
     if use_kalman:
         model_cfg = cfg.model
-        grid = cfg.grid
-        cv = cfg.kalman
         # single hypothesis: only omega = 1 applies
         eval_cfg = replace(eval_cfg, omegas=(1,))
-
-        def predict_fn(inputs):
-            seq = kalman.kf_forecast(inputs, cv, model_cfg.horizon, grid)
-            hyp = seq2seq.BeamHypothesis(sequence=seq, log_prob=0.0, state=[])
-            return seq2seq.TrajectoryPrediction(hypotheses=[hyp])
-
         label = "Kalman constant-velocity baseline"
     else:
         params = seq2seq.load_checkpoint(checkpoint_path)
         model_cfg = params.config
-        grid = cfg.grid
         if (model_cfg.q_w, model_cfg.q_l) != (grid.q_w, grid.q_l):
             grid = ogm.GridSpec.custom(model_cfg.q_w, model_cfg.q_l)
         if max(eval_cfg.omegas) > model_cfg.beam_width:
             raise ConfigError(
                 f"eval omega {max(eval_cfg.omegas)} exceeds beam width {model_cfg.beam_width}"
             )
-
-        def predict_fn(inputs):
-            summary = seq2seq.encode(params, inputs)
-            return seq2seq.beam_search_decode(params, summary)
-
         label = f"encoder-decoder checkpoint {checkpoint_path} (K={model_cfg.beam_width})"
 
     test_windows, _ = training.crop_windows(test_records, model_cfg.obs_len, model_cfg.horizon, grid)
     if not test_windows:
         print("error: no usable test windows in the dataset's test split", file=sys.stderr)
         return 2
-    report = metrics.evaluate(predict_fn, test_windows, eval_cfg, grid, label=label)
+    inputs = [w.inputs for w in test_windows]
+    if use_kalman:
+        predictions = [
+            seq2seq.TrajectoryPrediction(
+                hypotheses=[seq2seq.BeamHypothesis(kalman.kf_forecast(x, cfg.kalman, model_cfg.horizon, grid), 0.0)]
+            )
+            for x in inputs
+        ]
+    else:
+        predictions = seq2seq.predict_scene(params, inputs)
+    report = metrics.score_predictions(predictions, [w.labels for w in test_windows], eval_cfg, grid, label=label)
     text, series = metrics.render_report(report)
     print(text, end="")
     if series_path is None:
         series_path = data_path + ".series.csv"
-    with open(series_path, "w", encoding="utf-8") as f:
-        f.write(series)
+    seq2seq.write_atomic(series_path, series.encode("utf-8"), prefix=".series-")
     print(f"series written to {series_path}")
     return 0
 
@@ -682,10 +676,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             return cmd_eval(cfg, args.data, args.checkpoint, args.kalman, args.out_series)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ValueError, seq2seq.CheckpointError, datagen.DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, FloatingPointError, seq2seq.CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

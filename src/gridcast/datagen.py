@@ -292,13 +292,14 @@ def read_dataset(path: str) -> list[TrajectoryRecord]:
             frames = np.asarray(obj["frames"], dtype=np.float64)
             if frames.ndim != 2 or frames.shape[1] != 6:
                 raise DatasetFormatError(f"{path}:{lineno}: frames must be rows of 6 features")
-            records.append(
-                TrajectoryRecord(
-                    scenario_id=int(obj["scenario_id"]),
-                    vehicle_id=int(obj["vehicle_id"]),
-                    frames=frames,
+            rec = TrajectoryRecord(scenario_id=int(obj["scenario_id"]), vehicle_id=int(obj["vehicle_id"]), frames=frames)
+            bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+            if bad.size:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: scenario {rec.scenario_id} vehicle {rec.vehicle_id}: "
+                    f"non-finite value in frame {bad[0]}"
                 )
-            )
+            records.append(rec)
     return records
 
 

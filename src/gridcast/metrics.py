@@ -24,10 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ogm import GridSpec, unflatten
+from .ogm import GridSpec, unflatten_indices
 from .seq2seq import TrajectoryPrediction
 
-__all__ = ["EvalConfig", "TopOmegaResult", "EvalReport", "top_omega_mae", "evaluate", "render_report"]
+__all__ = [
+    "EvalConfig",
+    "TopOmegaResult",
+    "EvalReport",
+    "top_omega_mae",
+    "evaluate",
+    "score_predictions",
+    "render_report",
+]
 
 METRICS = ("MAE", "MAE_X", "MAE_Y")
 
@@ -63,12 +71,29 @@ class TopOmegaResult:
     n_no_candidate: int
 
 
-def _cells(sequence: list[int], grid: GridSpec) -> list[tuple[int, int] | None]:
-    out = []
-    for q in sequence:
-        cell = unflatten(q, grid)
-        out.append((cell.w, cell.l) if cell.in_map else None)
-    return out
+def _index_arrays(predictions, truths, num_hyps: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices (w, l) of the candidates, (N, num_hyps, H, 2) from each
+    prediction's first num_hyps hypotheses, and of the truths, (N, T, 2);
+    (0, 0) is out of map. A prediction with fewer hypotheses is padded with
+    out-of-map ones, which no selection mode ever picks."""
+    if len(predictions) != len(truths):
+        raise ValueError("predictions and truths must pair up")
+    if not predictions:
+        raise ValueError("no predictions to score")
+    if not predictions[0].hypotheses:
+        raise ValueError("prediction carries no hypotheses")
+    horizon = len(predictions[0].hypotheses[0].sequence)
+    classes = np.full((len(predictions), num_hyps, horizon), grid.out_of_map_class, dtype=np.int64)
+    for n, pred in enumerate(predictions):
+        hyps = pred.hypotheses[:num_hyps]
+        if not hyps:
+            raise ValueError("prediction carries no hypotheses")
+        try:
+            classes[n, : len(hyps)] = [h.sequence for h in hyps]
+        except ValueError as exc:
+            raise ValueError(f"prediction {n}: hypotheses must all span {horizon} steps") from exc
+    truth = np.asarray(truths, dtype=np.int64).reshape(len(truths), -1)
+    return np.stack(unflatten_indices(classes, grid), axis=-1), np.stack(unflatten_indices(truth, grid), axis=-1)
 
 
 def top_omega_mae(
@@ -81,78 +106,59 @@ def top_omega_mae(
 ) -> TopOmegaResult:
     """Errors at one future step (1-based, 0.2 s cadence) over paired
     predictions and ground-truth flat-class sequences."""
-    if len(predictions) != len(truths):
-        raise ValueError("predictions and truths must pair up")
     if omega < 1:
         raise ValueError("omega must be >= 1")
-    dists: list[float] = []
-    dxs: list[float] = []
-    dys: list[float] = []
-    truth_oom = 0
-    no_candidate = 0
-    for pred, truth in zip(predictions, truths):
-        if step < 1 or step > len(truth):
-            raise ValueError(f"step {step} outside the labeled horizon")
-        hyps = pred.hypotheses[:omega]
-        if not hyps:
-            raise ValueError("prediction carries no hypotheses")
-        truth_cell = unflatten(int(truth[step - 1]), grid)
-        if not truth_cell.in_map:
-            truth_oom += 1
-            continue
-        if selection == "per_step":
-            candidates = [_cells(h.sequence, grid)[step - 1] for h in hyps]
-        else:
-            candidates = [_whole_trajectory_pick(hyps, truth, grid)[step - 1]]
-        best = None
-        for cand in candidates:
-            if cand is None:
-                continue
-            d = math.hypot(cand[0] - truth_cell.w, cand[1] - truth_cell.l)
-            # strict < keeps the first (highest-ranked) candidate on ties
-            if best is None or d < best[0]:
-                best = (d, abs(cand[0] - truth_cell.w), abs(cand[1] - truth_cell.l))
-        if best is None:
-            no_candidate += 1
-            continue
-        dists.append(best[0])
-        dxs.append(best[1])
-        dys.append(best[2])
-    n = len(dists)
+    cand, truth = _index_arrays(predictions, truths, omega, grid)
+    return _score_step(cand, truth, omega, step, selection)
+
+
+def _score_step(cand: np.ndarray, truth: np.ndarray, omega: int, step: int, selection: str) -> TopOmegaResult:
+    """Top-omega errors at one step from the _index_arrays arrays."""
+    if step < 1 or step > truth.shape[1]:
+        raise ValueError(f"step {step} outside the labeled horizon")
+    if step > cand.shape[2]:
+        raise ValueError(f"step {step} beyond the predicted horizon")
+    t = truth[:, None, step - 1]
+    if selection == "per_step":
+        c = cand[:, :omega, step - 1]
+    else:
+        c = cand[np.arange(len(cand)), _whole_trajectory_pick(cand, truth, omega), step - 1][:, None]
+    diff = np.abs(c - t)
+    c_in = c[..., 0] > 0
+    dist = np.where(c_in, np.hypot(diff[..., 0], diff[..., 1]), np.inf)
+    t_in = t[:, 0, 0] > 0
+    has_candidate = c_in.any(axis=1)
+    rows = np.flatnonzero(t_in & has_candidate)
+    n = len(rows)
+    truth_oom = int((~t_in).sum())
+    no_candidate = int((t_in & ~has_candidate).sum())
     if n == 0:
         return TopOmegaResult(math.nan, math.nan, math.nan, 0, truth_oom, no_candidate)
+    # argmin keeps the first (highest-ranked) candidate on ties
+    best = np.argmin(dist[rows], axis=1)
+    dxy = diff[rows, best]
     return TopOmegaResult(
-        mae=sum(dists) / n,
-        mae_x=sum(dxs) / n,
-        mae_y=sum(dys) / n,
+        mae=float(dist[rows, best].sum() / n),
+        mae_x=float(dxy[:, 0].sum() / n),
+        mae_y=float(dxy[:, 1].sum() / n),
         n_evaluated=n,
         n_truth_out_of_map=truth_oom,
         n_no_candidate=no_candidate,
     )
 
 
-def _whole_trajectory_pick(hyps, truth: np.ndarray, grid: GridSpec):
-    """The single hypothesis closest to the truth by mean distance over all
-    steps where both are in map (ties keep the higher-ranked one)."""
-    best_cells = None
-    best_score = math.inf
-    for h in hyps:
-        cells = _cells(h.sequence, grid)
-        total = 0.0
-        valid = 0
-        for j, cand in enumerate(cells[: len(truth)]):
-            truth_cell = unflatten(int(truth[j]), grid)
-            if cand is None or not truth_cell.in_map:
-                continue
-            total += math.hypot(cand[0] - truth_cell.w, cand[1] - truth_cell.l)
-            valid += 1
-        score = total / valid if valid else math.inf
-        if score < best_score:
-            best_score = score
-            best_cells = cells
-    if best_cells is None:
-        best_cells = _cells(hyps[0].sequence, grid)
-    return best_cells
+def _whole_trajectory_pick(cand: np.ndarray, truth: np.ndarray, omega: int) -> np.ndarray:
+    """Per example, the index of the single hypothesis among the first omega
+    closest to the truth by mean distance over the steps where both are in
+    map (ties keep the higher-ranked one; none comparable picks the first)."""
+    steps = min(cand.shape[2], truth.shape[1])
+    c, t = cand[:, :omega, :steps], truth[:, None, :steps]
+    valid = (c[..., 0] > 0) & (t[..., 0] > 0)
+    d = c - t
+    total = np.where(valid, np.hypot(d[..., 0], d[..., 1]), 0.0).sum(axis=2)
+    count = valid.sum(axis=2)
+    score = np.where(count > 0, total / np.maximum(count, 1), np.inf)
+    return np.argmin(score, axis=1)
 
 
 @dataclass
@@ -184,19 +190,31 @@ def evaluate(
     if not examples:
         raise ValueError("empty test set")
     predictions = [predict_fn(ex.inputs) for ex in examples]
-    truths = [ex.labels for ex in examples]
+    return score_predictions(predictions, [ex.labels for ex in examples], config, grid, label)
+
+
+def score_predictions(
+    predictions: list[TrajectoryPrediction],
+    truths: list[np.ndarray],
+    config: EvalConfig = EvalConfig(),
+    grid: GridSpec = GridSpec(),
+    label: str = "",
+) -> EvalReport:
+    """The full (metric, omega, horizon) table for paired predictions and
+    ground-truth flat-class sequences."""
     max_omega = max(config.omegas)
     for pred in predictions:
         if len(pred.hypotheses) < max_omega:
             raise ValueError(
                 f"need {max_omega} hypotheses per prediction, got {len(pred.hypotheses)}"
             )
+    cand, truth = _index_arrays(predictions, truths, max_omega, grid)
     report = EvalReport(
         omegas=config.omegas, horizons_s=config.horizons_s, selection=config.selection, label=label
     )
     for omega in config.omegas:
         for horizon_s, step in zip(config.horizons_s, config.horizon_steps()):
-            res = top_omega_mae(predictions, truths, omega, step, grid, config.selection)
+            res = _score_step(cand, truth, omega, step, config.selection)
             report.values[("MAE", omega, horizon_s)] = res.mae
             report.values[("MAE_X", omega, horizon_s)] = res.mae_x
             report.values[("MAE_Y", omega, horizon_s)] = res.mae_y

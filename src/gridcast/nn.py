@@ -52,14 +52,9 @@ class ShapeError(ValueError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1/(1+exp(-x)), symmetric form for x < 0 to avoid overflow."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Elementwise 1/(1+exp(-x)) as 0.5 + 0.5*tanh(x/2): no overflow at
+    either tail and no branch on the sign."""
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "GridSpec",
     "GridCell",
@@ -25,6 +27,7 @@ __all__ = [
     "quantize",
     "flatten",
     "unflatten",
+    "unflatten_indices",
     "cell_center",
 ]
 
@@ -152,6 +155,19 @@ def unflatten(q: int, spec: GridSpec = GridSpec()) -> GridCell:
     if q == spec.out_of_map_class:
         return OUT_OF_MAP
     return GridCell((q - 1) // spec.q_l + 1, (q - 1) % spec.q_l + 1)
+
+
+def unflatten_indices(q, spec: GridSpec = GridSpec()) -> tuple[np.ndarray, np.ndarray]:
+    """unflatten over an array of flat class ids: the (w, l) index arrays,
+    both 0 where the class is out of map."""
+    q = np.asarray(q, dtype=np.int64)
+    bad = q[(q < 1) | (q > spec.num_classes)]
+    if bad.size:
+        raise ValueError(f"class id {bad[0]} outside 1..{spec.num_classes}")
+    in_map = q != spec.out_of_map_class
+    w = np.where(in_map, (q - 1) // spec.q_l + 1, 0)
+    l = np.where(in_map, (q - 1) % spec.q_l + 1, 0)
+    return w, l
 
 
 def cell_center(cell: GridCell, spec: GridSpec = GridSpec()) -> tuple[float, float]:

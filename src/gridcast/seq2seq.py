@@ -12,8 +12,11 @@ a softmax gives the occupancy probability over all grid classes plus
 out-of-map. Beam search keeps the highest cumulative-log-probability
 hypotheses; width 1 is greedy decoding.
 
-Inference decodes hypotheses one at a time so a returned cumulative log
-probability is bit-reproducible by replaying its token sequence.
+Inference decodes every hypothesis of every vehicle in a chunk as one row of
+a batch: one decoder call per step over all rows. Results are bit-identical
+run to run; replaying a hypothesis one row at a time reproduces its
+cumulative log probability within 1e-12 (a batched row product and a
+single-row product may round differently).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from copy import deepcopy
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,9 +50,14 @@ __all__ = [
     "predict_scene",
     "save_checkpoint",
     "load_checkpoint",
+    "write_atomic",
 ]
 
 NUM_FEATURES = 6
+
+# vehicles beam-decoded together by predict_scene: bounds the per-step score
+# array at DECODE_CHUNK * beam_width * num_classes floats
+DECODE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -173,10 +182,7 @@ class ModelParams:
         return {name: np.zeros_like(a) for name, a in self.param_items()}
 
     def copy(self) -> "ModelParams":
-        other = init_model_params(self.config, seed=0)
-        for (_, dst), (_, src) in zip(other.checkpoint_items(), self.checkpoint_items()):
-            dst[...] = src
-        return other
+        return deepcopy(self)
 
 
 def init_model_params(config: ModelConfig, seed: int | np.random.Generator = 0) -> ModelParams:
@@ -232,14 +238,22 @@ def normalize_features(params: ModelParams, obs: np.ndarray) -> np.ndarray:
     return (obs - params.feat_mean) / params.feat_std
 
 
-def encode(params: ModelParams, obs) -> EncoderSummary:
-    """Run the encoder over exactly obs_len observations (oldest first)."""
-    arr = obs if isinstance(obs, np.ndarray) else observations_to_array(obs)
-    if arr.ndim != 2 or arr.shape[0] != params.config.obs_len:
+def _observation_window(params: ModelParams, obs) -> np.ndarray:
+    """One vehicle's window as a finite (obs_len, 6) array, or ValueError."""
+    arr = np.asarray(obs, dtype=np.float64) if isinstance(obs, np.ndarray) else observations_to_array(obs)
+    if arr.shape != (params.config.obs_len, NUM_FEATURES):
         raise ValueError(
             f"encode expects ({params.config.obs_len}, {NUM_FEATURES}) observations, got {arr.shape}"
         )
-    summary, _ = encode_core(params, arr, with_tapes=False)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite observation in frame {bad[0]}")
+    return arr
+
+
+def encode(params: ModelParams, obs) -> EncoderSummary:
+    """Run the encoder over exactly obs_len observations (oldest first)."""
+    summary, _ = encode_core(params, _observation_window(params, obs), with_tapes=False)
     return summary
 
 
@@ -353,12 +367,13 @@ def decode_step(
 
 @dataclass
 class BeamHypothesis:
-    """A (partial) predicted class sequence with its cumulative natural-log
-    probability and the decoder state ready to consume its last token."""
+    """A predicted class sequence with its cumulative natural-log
+    probability. state is a decoder state for callers that build hypotheses
+    by hand; the decoders leave it empty."""
 
     sequence: list[int]
     log_prob: float
-    state: list[LstmState] = field(repr=False)
+    state: list[LstmState] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -372,22 +387,103 @@ class TrajectoryPrediction:
     probability_maps: list[np.ndarray] | None = None
 
 
+def _single_vehicle_rows(params: ModelParams, summary: EncoderSummary) -> list[LstmState]:
+    """One vehicle's decoder initial state as (1, cell) rows."""
+    shape = (1, params.config.cell_dim)
+    return [LstmState(c=s.c.reshape(shape), h=s.h.reshape(shape)) for s in decoder_initial_state(params, summary)]
+
+
 def greedy_decode(params: ModelParams, summary: EncoderSummary, horizon: int | None = None) -> BeamHypothesis:
-    """Pick the argmax class at every step and feed it back."""
+    """Pick the argmax class at every step and feed it back. Decodes one
+    (1, cell) row, as the beam core does for a single vehicle, so beam width
+    1 reproduces it bit for bit."""
     steps = params.config.horizon if horizon is None else horizon
-    state = decoder_initial_state(params, summary)
+    state = _single_vehicle_rows(params, summary)
+    u = start_input(params, 1)
     seq: list[int] = []
     log_prob = 0.0
-    prev: int | None = None
     for _ in range(steps):
-        u = start_input(params) if prev is None else embed_tokens(params, np.asarray(prev))
+        if seq:
+            u = embed_tokens(params, np.array(seq[-1:]))
         logits, state, _ = decode_core(params, state, u, with_tapes=False)
-        lp = nn.log_softmax(logits)
+        lp = nn.log_softmax(logits)[0]
         q = int(np.argmax(lp)) + 1  # first max <=> lowest class id on ties
         log_prob += float(lp[q - 1])
         seq.append(q)
-        prev = q
-    return BeamHypothesis(sequence=seq, log_prob=log_prob, state=state)
+    return BeamHypothesis(sequence=seq, log_prob=log_prob)
+
+
+def _top_k(scores: np.ndarray, take: int, num_classes: int) -> np.ndarray:
+    """Per row of scores (column = parent * num_classes + class), the columns
+    of the take best extensions in beam order: score descending, ties by
+    lower class id, then lower parent. Only the candidates at or above each
+    row's take-th largest score are sorted."""
+    n, m = scores.shape
+    kth = np.partition(scores, m - take, axis=1)[:, m - take]
+    row, col = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((col // num_classes, col % num_classes, -scores[row, col], row))
+    counts = np.bincount(row, minlength=n)
+    first = np.cumsum(counts) - counts
+    return col[order][first[:, None] + np.arange(take)]
+
+
+def _beam_rows(
+    params: ModelParams, state: list[LstmState], beam_width: int, steps: int, collect_maps: bool = False
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]:
+    """Beam search for N vehicles at once from their N decoder-state rows.
+
+    Hypotheses are rows, vehicle-major and in rank order within a vehicle.
+    Step 1 expands each vehicle's start token; every step decodes all rows
+    in one decode_core call, scores each vehicle's (hypothesis, class)
+    extensions by cumulative log probability and keeps its top beam_width,
+    gathering the parents' advanced states by row index.
+
+    Returns (sequences (N, K, steps) of flat class ids, log_probs (N, K),
+    and per step the (N, hypotheses, num_classes) probability maps when
+    collect_maps, else None).
+    """
+    n = state[0].c.shape[0]
+    num_classes = params.config.num_classes
+    log_probs = np.zeros((n, 1))
+    seqs = np.zeros((n, 1, 0), dtype=np.int64)
+    maps: list[np.ndarray] | None = [] if collect_maps else None
+    u = start_input(params, n)
+    for step in range(steps):
+        if step:
+            state = [LstmState(c=s.c[rows], h=s.h[rows]) for s in state]
+            u = embed_tokens(params, seqs[:, :, -1].ravel())
+        logits, state, _ = decode_core(params, state, u, with_tapes=False)
+        lp = nn.log_softmax(logits).reshape(n, -1, num_classes)
+        if maps is not None:
+            maps.append(np.exp(lp))
+        scores = (log_probs[:, :, None] + lp).reshape(n, -1)
+        cols = _top_k(scores, min(beam_width, scores.shape[1]), num_classes)
+        parents, classes = np.divmod(cols, num_classes)
+        rows = (parents + lp.shape[1] * np.arange(n)[:, None]).ravel()
+        log_probs = np.take_along_axis(scores, cols, axis=1)
+        seqs = np.concatenate(
+            [np.take_along_axis(seqs, parents[:, :, None], axis=1), classes[:, :, None] + 1], axis=2
+        )
+    return seqs, log_probs, maps
+
+
+def _predictions(seqs: np.ndarray, log_probs: np.ndarray, maps) -> list[TrajectoryPrediction]:
+    """Per-vehicle predictions from _beam_rows' arrays."""
+    return [
+        TrajectoryPrediction(
+            hypotheses=[BeamHypothesis(sequence=q, log_prob=lp) for q, lp in zip(seqs[v].tolist(), log_probs[v].tolist())],
+            probability_maps=None if maps is None else [m[v] for m in maps],
+        )
+        for v in range(len(seqs))
+    ]
+
+
+def _beam_args(params: ModelParams, beam_width: int | None, horizon: int | None) -> tuple[int, int]:
+    k = params.config.beam_width if beam_width is None else beam_width
+    steps = params.config.horizon if horizon is None else horizon
+    if k < 1 or steps < 1:
+        raise ValueError("beam width and horizon must be >= 1")
+    return k, steps
 
 
 def beam_search_decode(
@@ -397,70 +493,33 @@ def beam_search_decode(
     horizon: int | None = None,
     collect_probability_maps: bool = False,
 ) -> TrajectoryPrediction:
-    """Keep the beam_width most probable hypotheses at every decode step.
-
-    Step 1 expands the start token once; every later step scores all
-    (hypothesis, class) extensions by cumulative log probability and keeps
-    the top beam_width, each carrying its parent's advanced decoder state.
-    """
-    k = params.config.beam_width if beam_width is None else beam_width
-    steps = params.config.horizon if horizon is None else horizon
-    if k < 1 or steps < 1:
-        raise ValueError("beam width and horizon must be >= 1")
-    num_classes = params.config.num_classes
-
-    state0 = decoder_initial_state(params, summary)
-    logits, state_after_start, _ = decode_core(params, state0, start_input(params), False)
-    lp0 = nn.log_softmax(logits)
-    maps: list[np.ndarray] | None = [np.exp(lp0)[None, :]] if collect_probability_maps else None
-
-    take = min(k, num_classes)
-    order = np.lexsort((np.arange(num_classes), -lp0))[:take]
-    beam = [
-        BeamHypothesis(sequence=[int(q) + 1], log_prob=float(lp0[q]), state=state_after_start)
-        for q in order
-    ]
-
-    for _ in range(1, steps):
-        step_lps = []
-        next_states = []
-        for hyp in beam:
-            u = embed_tokens(params, np.asarray(hyp.sequence[-1]))
-            logits, new_state, _ = decode_core(params, hyp.state, u, False)
-            step_lps.append(nn.log_softmax(logits))
-            next_states.append(new_state)
-        if maps is not None:
-            maps.append(np.exp(np.stack(step_lps)))
-        scores = np.array([h.log_prob for h in beam])[:, None] + np.stack(step_lps)
-        flat = scores.ravel()
-        classes = np.tile(np.arange(num_classes), len(beam))
-        parents = np.repeat(np.arange(len(beam)), num_classes)
-        take = min(k, flat.size)
-        # primary: score desc; ties: class id asc, then parent index asc
-        order = np.lexsort((parents, classes, -flat))[:take]
-        beam = [
-            BeamHypothesis(
-                sequence=beam[p].sequence + [int(q) + 1],
-                log_prob=float(flat[idx]),
-                state=next_states[p],
-            )
-            for idx, p, q in zip(order, parents[order], classes[order])
-        ]
-    return TrajectoryPrediction(hypotheses=beam, probability_maps=maps)
+    """Keep the beam_width most probable hypotheses at every decode step for
+    one vehicle: the batched beam core on a single row."""
+    k, steps = _beam_args(params, beam_width, horizon)
+    rows = _single_vehicle_rows(params, summary)
+    return _predictions(*_beam_rows(params, rows, k, steps, collect_probability_maps))[0]
 
 
 def predict_scene(params: ModelParams, scenes, beam_width: int | None = None, horizon: int | None = None) -> list[TrajectoryPrediction]:
-    """Encode + beam-decode each vehicle's observation window independently
-    with the shared parameters; output order matches input order."""
+    """Encode + beam-decode each vehicle's observation window with the
+    shared parameters; output order matches input order. Every window is
+    validated first, all are encoded in one batch, and the beam decodes
+    DECODE_CHUNK vehicles at a time."""
     if len(scenes) < 1:
         raise ValueError("predict_scene needs at least one vehicle")
-    out = []
+    k, steps = _beam_args(params, beam_width, horizon)
+    windows = []
     for n, obs in enumerate(scenes):
         try:
-            summary = encode(params, obs)
-            out.append(beam_search_decode(params, summary, beam_width, horizon))
-        except Exception as exc:
-            raise type(exc)(f"vehicle {n}: {exc}") from exc
+            windows.append(_observation_window(params, obs))
+        except ValueError as exc:
+            raise ValueError(f"vehicle {n}: {exc}") from exc
+    summary, _ = encode_core(params, np.stack(windows), with_tapes=False)
+    state = decoder_initial_state(params, summary)
+    out: list[TrajectoryPrediction] = []
+    for lo in range(0, len(windows), DECODE_CHUNK):
+        chunk = [LstmState(c=s.c[lo : lo + DECODE_CHUNK], h=s.h[lo : lo + DECODE_CHUNK]) for s in state]
+        out += _predictions(*_beam_rows(params, chunk, k, steps))
     return out
 
 
@@ -489,11 +548,16 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
     header = f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n" + json.dumps(manifest)
     payload = header.encode("utf-8") + _BLOB_SEPARATOR
     blobs = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in items)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+    write_atomic(path, payload + blobs, prefix=".ckpt-")
+
+
+def write_atomic(path: str, data: bytes, prefix: str) -> None:
+    """Write data to a temp file (named prefix + random) beside path, then
+    rename it over path, so path never holds a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=prefix)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(payload + blobs)
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

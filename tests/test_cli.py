@@ -4,6 +4,7 @@ datagen -> train -> predict -> eval pipeline at toy scale, verify battery."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gridcast import datagen, seq2seq
@@ -184,6 +185,18 @@ class TestPipeline:
         for b, g in zip(beam_rows, greedy_rows):
             assert b["hypotheses"][0]["cells"] == g["hypotheses"][0]["cells"]
 
+    def test_predict_beam_matches_single_vehicle_decode(self, workdir):
+        out = os.path.join(workdir["dir"], "hyp_batched.jsonl")
+        assert main(["predict", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--out", out]) == 0
+        params = seq2seq.load_checkpoint(workdir["ckpt"])
+        rows = [json.loads(line) for line in open(out)]
+        for rec, row in zip(datagen.read_dataset(workdir["data"]), rows):
+            summary = seq2seq.encode(params, rec.frames[-params.config.obs_len:])
+            single = seq2seq.beam_search_decode(params, summary).hypotheses
+            assert [h["log_prob"] for h in row["hypotheses"]] == pytest.approx(
+                [h.log_prob for h in single], abs=1e-12
+            )
+
     def test_predict_too_few_frames_errors(self, workdir, tmp_path, capsys):
         short = os.path.join(tmp_path, "short.jsonl")
         with open(short, "w") as f:
@@ -228,6 +241,49 @@ class TestPipeline:
         assert rc == 0
         out = capsys.readouterr().out
         assert "overfit mode" in out
+
+
+class TestBadInput:
+    """Bad input fails at the boundary: exit code 2, a message naming the
+    scenario, vehicle and frame, and no output file left behind."""
+
+    @pytest.fixture
+    def nan_data(self, workdir, tmp_path):
+        records = datagen.read_dataset(workdir["data"])
+        records[5].frames[12, 3] = np.nan
+        path = str(tmp_path / "nan.jsonl")
+        datagen.write_dataset(records, path)
+        datagen.write_manifest(datagen.read_manifest(workdir["data"]), path)
+        return path, f"scenario {records[5].scenario_id} vehicle {records[5].vehicle_id}: non-finite value in frame 12"
+
+    @pytest.mark.parametrize("mode", [[], ["--greedy"]])
+    def test_predict_nan_frame(self, workdir, nan_data, tmp_path, capsys, mode):
+        data, where = nan_data
+        out = str(tmp_path / "pred.jsonl")
+        rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", data, "--out", out] + mode)
+        assert rc == 2
+        assert where in capsys.readouterr().err
+        assert not any(name.startswith(("pred", ".predict-")) for name in os.listdir(tmp_path))
+
+    def test_eval_nan_frame(self, workdir, nan_data, tmp_path, capsys):
+        data, where = nan_data
+        series = str(tmp_path / "series.csv")
+        rc = main(["eval", "--checkpoint", workdir["ckpt"], "--data", data, "--out-series", series] + toy_args())
+        assert rc == 2
+        assert where in capsys.readouterr().err
+        assert not os.path.exists(series)
+
+    @pytest.mark.parametrize("mode", [[], ["--greedy"]])
+    def test_non_finite_logits_exit_2_without_output(self, workdir, tmp_path, capsys, mode):
+        params = seq2seq.load_checkpoint(workdir["ckpt"])
+        params.dec_fc[-1].bias[0] = np.nan
+        ckpt = str(tmp_path / "nan.ckpt")
+        seq2seq.save_checkpoint(params, ckpt)
+        out = str(tmp_path / "pred.jsonl")
+        rc = main(["predict", "--checkpoint", ckpt, "--data", workdir["data"], "--out", out] + mode)
+        assert rc == 2
+        assert "non-finite decoder logits" in capsys.readouterr().err
+        assert not any(name.startswith(("pred", ".predict-")) for name in os.listdir(tmp_path))
 
 
 class TestVerify:

@@ -206,6 +206,16 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="6 features"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_frame_names_scenario_vehicle_frame(self, tmp_path, bad):
+        records, _ = generate_dataset(SMALL)
+        records[3].frames[7, 2] = bad
+        path = os.path.join(tmp_path, "data.jsonl")
+        write_dataset(records[:5], path)
+        where = f"scenario {records[3].scenario_id} vehicle {records[3].vehicle_id}: .* frame 7"
+        with pytest.raises(DatasetFormatError, match=where):
+            read_dataset(path)
+
     def test_missing_manifest_reported(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="manifest"):
             read_manifest(os.path.join(tmp_path, "nothing.jsonl"))

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.metrics import EvalConfig, evaluate, render_report, top_omega_mae
-from gridcast.ogm import GridCell, GridSpec, flatten
+from gridcast.metrics import EvalConfig, evaluate, render_report, score_predictions, top_omega_mae
+from gridcast.ogm import GridCell, GridSpec, flatten, unflatten
 from gridcast.seq2seq import BeamHypothesis, TrajectoryPrediction
 from gridcast.training import TrainingExample
 
@@ -147,6 +147,162 @@ class TestTopOmegaMae:
             direct.append(math.hypot(top[0] - gt[0], top[1] - gt[1]))
         res = top_omega_mae(preds, truths, 1, 1, GRID)
         assert res.mae == pytest.approx(np.mean(direct), abs=1e-12)
+
+
+class TestIndexArrayScoring:
+    """Hand-computed cases for the array scorer's tie, padding and
+    exclusion rules."""
+
+    def test_equal_distance_tie_keeps_first_ranked(self):
+        # both candidates are 3 cells away; the first-ranked one sets the
+        # coordinate errors
+        preds = [prediction([(8, 10)], [(5, 13)]), prediction([(5, 13)], [(8, 10)])]
+        truths = [truth((5, 10)), truth((5, 10))]
+        res = top_omega_mae(preds, truths, 2, 1, GRID)
+        assert (res.mae, res.mae_x, res.mae_y) == (3.0, 1.5, 1.5)
+        first = top_omega_mae(preds[:1], truths[:1], 2, 1, GRID)
+        assert (first.mae_x, first.mae_y) == (3.0, 0.0)
+
+    def test_fewer_hypotheses_than_omega(self):
+        # one example with a single hypothesis, one with two, omega 3
+        preds = [prediction([(7, 10)]), prediction([(9, 10)], [(5, 12)])]
+        truths = [truth((5, 10)), truth((5, 10))]
+        res = top_omega_mae(preds, truths, 3, 1, GRID)
+        assert res.mae == 2.0 and res.n_evaluated == 2
+        whole = top_omega_mae(preds, truths, 3, 1, GRID, selection="whole_trajectory")
+        assert whole.mae == 2.0
+
+    def test_whole_trajectory_no_comparable_step_picks_first(self):
+        # truth out of map at step 1, both candidates out of map at step 2:
+        # no hypothesis has a comparable step, so the first one is kept
+        preds = [prediction([(5, 10), None], [(9, 10), None])]
+        truths = [truth(None, (5, 10))]
+        res = top_omega_mae(preds, truths, 2, 2, GRID, selection="whole_trajectory")
+        assert (res.n_evaluated, res.n_truth_out_of_map, res.n_no_candidate) == (0, 0, 1)
+        assert math.isnan(res.mae)
+        step1 = top_omega_mae(preds, truths, 2, 1, GRID, selection="whole_trajectory")
+        assert (step1.n_evaluated, step1.n_truth_out_of_map) == (0, 1)
+
+    def test_whole_trajectory_mean_over_comparable_steps(self):
+        # hypothesis 0: distances (0, 4) -> mean 2; hypothesis 1: (1, out of
+        # map) -> mean 1 over its single comparable step, so it is picked
+        preds = [prediction([(5, 10), (9, 10)], [(6, 10), None])]
+        truths = [truth((5, 10), (5, 10))]
+        step1 = top_omega_mae(preds, truths, 2, 1, GRID, selection="whole_trajectory")
+        assert step1.mae == 1.0
+        step2 = top_omega_mae(preds, truths, 2, 2, GRID, selection="whole_trajectory")
+        assert (step2.n_evaluated, step2.n_no_candidate) == (0, 1)
+
+    def test_report_exclusions_and_values(self):
+        preds = [
+            prediction([(5, 10), (5, 10)], [(6, 11), (6, 11)]),
+            prediction([None, (8, 14)], [None, None]),
+        ]
+        truths = [truth((5, 10), (6, 10)), truth((5, 10), None)]
+        cfg = EvalConfig(omegas=(1, 2), horizons_s=(0.2, 0.4))
+        report = score_predictions(preds, truths, cfg, GRID)
+        # step 1: example 0 exact, example 1 has no in-map candidate
+        assert report.value("MAE", 1, 0.2) == 0.0
+        assert report.excluded[(1, 0.2)] == (0, 1)
+        # step 2: example 0's candidates (5, 10) and (6, 11) are both one
+        # cell from (6, 10), and the first-ranked sets the coordinate errors;
+        # example 1's truth is out of map
+        for omega in (1, 2):
+            assert report.value("MAE", omega, 0.4) == 1.0
+            assert (report.value("MAE_X", omega, 0.4), report.value("MAE_Y", omega, 0.4)) == (1.0, 0.0)
+        assert report.excluded[(2, 0.4)] == (1, 0)
+        assert report.counts[(2, 0.4)] == 1
+
+    def test_score_predictions_equals_evaluate(self):
+        rng = np.random.default_rng(9)
+        examples, preds = [], []
+        for _ in range(12):
+            cells = [[(int(rng.integers(1, 37)), int(rng.integers(1, 22))) for _ in range(10)] for _ in range(5)]
+            preds.append(prediction(*cells))
+            labels = truth(*[(int(rng.integers(1, 37)), int(rng.integers(1, 22))) for _ in range(10)])
+            examples.append(TrainingExample(inputs=np.zeros((4, 6)), labels=labels))
+        for selection in ("per_step", "whole_trajectory"):
+            cfg = EvalConfig(selection=selection)
+            by_fn = evaluate(lambda x, it=iter(preds): next(it), examples, cfg, GRID)
+            direct = score_predictions(preds, [ex.labels for ex in examples], cfg, GRID)
+            assert by_fn.values == direct.values
+            assert by_fn.excluded == direct.excluded
+
+    def test_ragged_hypotheses_rejected(self):
+        preds = [prediction([(5, 10), (5, 10)], [(5, 10)])]
+        with pytest.raises(ValueError, match="span"):
+            top_omega_mae(preds, [truth((5, 10), (5, 10))], 2, 1, GRID)
+
+
+def loop_top_omega_mae(predictions, truths, omega, step, grid, selection):
+    """Reference scorer: per-example Python loops over GridCell objects."""
+
+    def cells(seq):
+        return [(c.w, c.l) if c.in_map else None for c in (unflatten(int(q), grid) for q in seq)]
+
+    def whole_pick(hyps, truth):
+        best, best_score = cells(hyps[0].sequence), math.inf
+        for h in hyps:
+            d = [
+                math.hypot(c[0] - t.w, c[1] - t.l)
+                for c, t in zip(cells(h.sequence), (unflatten(int(q), grid) for q in truth))
+                if c is not None and t.in_map
+            ]
+            score = sum(d) / len(d) if d else math.inf
+            if score < best_score:
+                best, best_score = cells(h.sequence), score
+        return best
+
+    picked, truth_oom, no_candidate = [], 0, 0
+    for pred, truth in zip(predictions, truths):
+        hyps = pred.hypotheses[:omega]
+        t = unflatten(int(truth[step - 1]), grid)
+        if not t.in_map:
+            truth_oom += 1
+            continue
+        if selection == "per_step":
+            candidates = [cells(h.sequence)[step - 1] for h in hyps]
+        else:
+            candidates = [whole_pick(hyps, truth)[step - 1]]
+        best = None
+        for c in candidates:
+            if c is not None:
+                d = math.hypot(c[0] - t.w, c[1] - t.l)
+                if best is None or d < best[0]:
+                    best = (d, abs(c[0] - t.w), abs(c[1] - t.l))
+        if best is None:
+            no_candidate += 1
+        else:
+            picked.append(best)
+    n = len(picked)
+    means = [sum(col) / n for col in zip(*picked)] if n else [math.nan] * 3
+    return means, n, truth_oom, no_candidate
+
+
+@pytest.mark.parametrize("selection", ["per_step", "whole_trajectory"])
+def test_array_scorer_matches_loop_reference(selection):
+    # a 4 x 3 grid makes out-of-map candidates and truths and exact distance
+    # ties common
+    grid = GridSpec.custom(4, 3)
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n, k, h = int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        preds = [
+            TrajectoryPrediction(
+                hypotheses=[
+                    BeamHypothesis(sequence=rng.integers(1, grid.num_classes + 1, size=h).tolist(), log_prob=0.0)
+                    for _ in range(int(rng.integers(1, k + 1)))
+                ]
+            )
+            for _ in range(n)
+        ]
+        truths = [rng.integers(1, grid.num_classes + 1, size=h) for _ in range(n)]
+        for omega in range(1, k + 1):
+            for step in range(1, h + 1):
+                got = top_omega_mae(preds, truths, omega, step, grid, selection)
+                means, count, truth_oom, no_candidate = loop_top_omega_mae(preds, truths, omega, step, grid, selection)
+                assert (got.n_evaluated, got.n_truth_out_of_map, got.n_no_candidate) == (count, truth_oom, no_candidate)
+                np.testing.assert_allclose([got.mae, got.mae_x, got.mae_y], means, rtol=0, atol=1e-12)
 
 
 class TestEvalConfig:

@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from gridcast.ogm import OUT_OF_MAP, GridCell, GridSpec, cell_center, flatten, quantize, unflatten
+import numpy as np
+
+from gridcast.ogm import OUT_OF_MAP, GridCell, GridSpec, cell_center, flatten, quantize, unflatten, unflatten_indices
 
 GRID = GridSpec()
 
@@ -117,6 +119,19 @@ class TestFlattenUnflatten:
     def test_cell_outside_grid_rejected(self):
         with pytest.raises(ValueError):
             flatten(GridCell(37, 1), GRID)
+
+    def test_indices_match_scalar_unflatten(self):
+        q = np.stack([np.arange(1, 758), np.arange(757, 0, -1)])
+        w, l = unflatten_indices(q, GRID)
+        assert w.shape == l.shape == q.shape
+        for qq, ww, ll in zip(q.ravel(), w.ravel(), l.ravel()):
+            assert GridCell(int(ww), int(ll)) == unflatten(int(qq), GRID)
+
+    def test_indices_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="758"):
+            unflatten_indices([[1, 758]], GRID)
+        with pytest.raises(ValueError, match="class id 0"):
+            unflatten_indices(0, GRID)
 
 
 class TestCellCenter:

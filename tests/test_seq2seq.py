@@ -3,9 +3,11 @@ against exhaustive enumeration, greedy equivalence, checkpoint persistence."""
 
 import os
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcast import nn, seq2seq
 from gridcast.seq2seq import (
@@ -238,7 +240,8 @@ class TestBeamSearch:
         scored.sort(key=lambda item: -item[1])
         assert [h.sequence for h in result.hypotheses] == [s for s, _ in scored]
         for h, (_, lp) in zip(result.hypotheses, scored):
-            assert h.log_prob == lp  # same arithmetic path: bit-identical
+            # batched hypothesis rows may round differently from the one-row replay
+            assert abs(h.log_prob - lp) <= 1e-12
 
     def test_log_prob_replay_consistency(self):
         config, params = tiny_model(cell_dim=6, q_w=5, q_l=2, obs_len=3, horizon=4, seed=11, beam_width=5)
@@ -316,6 +319,57 @@ class TestPredictScene:
         config, params = tiny_model()
         with pytest.raises(ValueError):
             predict_scene(params, [])
+
+    def test_non_finite_window_names_vehicle_and_frame(self):
+        config, params = tiny_model(obs_len=3)
+        bad = np.zeros((3, 6))
+        bad[1, 4] = np.nan
+        with pytest.raises(ValueError, match="vehicle 2: non-finite observation in frame 1"):
+            predict_scene(params, [np.zeros((3, 6)), np.zeros((3, 6)), bad])
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        q_w=st.integers(1, 3),
+        q_l=st.integers(1, 3),
+        horizon=st.integers(1, 3),
+        vehicles=st.integers(1, 7),
+        chunk=st.integers(1, 3),
+        beam_width=st.integers(1, 12),
+        constant_logits=st.booleans(),
+    )
+    def test_batched_equals_per_vehicle_beam(
+        self, seed, q_w, q_l, horizon, vehicles, chunk, beam_width, constant_logits
+    ):
+        # chunks smaller than the scene, beams wider than the class count,
+        # and all-tied constant logits all decode as the single-vehicle beam
+        config, params = tiny_model(q_w=q_w, q_l=q_l, obs_len=2, horizon=horizon, seed=seed)
+        if constant_logits:
+            params.dec_fc[-1].weight[...] = 0.0
+            params.dec_fc[-1].bias[...] = 0.0
+        rng = np.random.default_rng(seed)
+        scene = [rng.standard_normal((2, 6)) for _ in range(vehicles)]
+        with mock.patch.object(seq2seq, "DECODE_CHUNK", chunk):
+            batched = predict_scene(params, scene, beam_width=beam_width)
+        assert len(batched) == vehicles
+        for obs, pred in zip(scene, batched):
+            single = beam_search_decode(params, encode(params, obs), beam_width=beam_width)
+            assert len(pred.hypotheses) == min(beam_width, config.num_classes**horizon)
+            assert [h.sequence for h in pred.hypotheses] == [h.sequence for h in single.hypotheses]
+            for a, b in zip(pred.hypotheses, single.hypotheses):
+                assert abs(a.log_prob - b.log_prob) <= 1e-12
+
+
+class TestModelParamsCopy:
+    def test_copy_is_equal_and_independent(self):
+        config, params = tiny_model(seed=30)
+        other = params.copy()
+        assert other.config == params.config
+        for (name, a), (_, b) in zip(params.checkpoint_items(), other.checkpoint_items()):
+            assert np.array_equal(a, b), name
+            assert not np.shares_memory(a, b), name
+        other.dec_fc[0].weight[...] = 0.0
+        assert np.any(params.dec_fc[0].weight != 0.0)
 
 
 class TestCheckpoints:
