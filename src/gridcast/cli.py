@@ -29,9 +29,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Union of all module configurations plus the run seed."""
+    """Union of all module configurations plus the run seed. The grid.*
+    keys set model.grid: the grid defines the model's output classes."""
 
-    grid: ogm.GridSpec = field(default_factory=ogm.GridSpec)
     model: seq2seq.ModelConfig = field(default_factory=seq2seq.ModelConfig)
     train: training.TrainConfig = field(default_factory=training.TrainConfig)
     data: datagen.ScenarioConfig = field(default_factory=datagen.ScenarioConfig)
@@ -113,7 +113,8 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
         section, name = key.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(f"{where}: unknown section {section!r}")
-        fields = {f.name for f in dataclasses.fields(_SECTIONS[section])}
+        # model.grid is built from the grid.* keys, not set directly
+        fields = {f.name for f in dataclasses.fields(_SECTIONS[section])} - {"grid"}
         if name not in fields:
             raise ConfigError(f"{where}: unknown key {name!r} in section {section!r}")
         section_overrides[section][name] = _parse_value(value, _resolve_type(_SECTIONS[section], name), key)
@@ -123,7 +124,10 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
     for section, values in section_overrides.items():
         if values:
             try:
-                cfg = replace(cfg, **{section: replace(getattr(cfg, section), **values)})
+                if section == "grid":
+                    cfg = replace(cfg, model=replace(cfg.model, grid=replace(cfg.model.grid, **values)))
+                else:
+                    cfg = replace(cfg, **{section: replace(getattr(cfg, section), **values)})
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"section {section!r}: {exc}") from exc
     if seed is not None:
@@ -174,10 +178,6 @@ def validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"eval horizon needs {max_step} decode steps, model horizon is {cfg.model.horizon}"
         )
-    if (cfg.model.q_w, cfg.model.q_l) != (cfg.grid.q_w, cfg.grid.q_l):
-        raise ConfigError(
-            f"model grid {cfg.model.q_w}x{cfg.model.q_l} != grid {cfg.grid.q_w}x{cfg.grid.q_l}"
-        )
     need = cfg.model.obs_len + training.LABEL_STRIDE * cfg.model.horizon
     if cfg.data.frames_per_record < need:
         raise ConfigError(
@@ -213,7 +213,7 @@ def cmd_datagen(cfg: RunConfig, out_path: str) -> int:
     print(f"wrote {len(records)} sequences to {out_path}")
     for name in ("train", "val", "test"):
         recs = by_split[name]
-        windows, skipped = training.crop_windows(recs, cfg.model.obs_len, cfg.model.horizon, cfg.grid)
+        windows, skipped = training.crop_windows(recs, cfg.model.obs_len, cfg.model.horizon, cfg.model.grid)
         note = f" ({skipped} records too short)" if skipped else ""
         print(f"  {name}: {len(recs)} sequences, {len(windows)} usable windows{note}")
     return 0
@@ -223,8 +223,8 @@ def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int 
     records = datagen.read_dataset(data_path)
     manifest = datagen.read_manifest(data_path)
     by_split = _split_records(records, manifest)
-    train_windows, _ = training.crop_windows(by_split["train"], cfg.model.obs_len, cfg.model.horizon, cfg.grid)
-    val_windows, _ = training.crop_windows(by_split["val"], cfg.model.obs_len, cfg.model.horizon, cfg.grid)
+    train_windows, _ = training.crop_windows(by_split["train"], cfg.model.obs_len, cfg.model.horizon, cfg.model.grid)
+    val_windows, _ = training.crop_windows(by_split["val"], cfg.model.obs_len, cfg.model.horizon, cfg.model.grid)
     if not train_windows or not val_windows:
         print("error: dataset yields no usable training or validation windows", file=sys.stderr)
         return 2
@@ -279,7 +279,6 @@ def cmd_predict(
     greedy: bool,
 ) -> int:
     params = seq2seq.load_checkpoint(checkpoint_path)
-    grid = ogm.GridSpec.custom(params.config.q_w, params.config.q_l) if (params.config.q_w, params.config.q_l) != (36, 21) else ogm.GridSpec()
     records = datagen.read_dataset(data_path)
     obs_len = params.config.obs_len
     for rec in records:
@@ -299,7 +298,7 @@ def cmd_predict(
         per_vehicle = [p.hypotheses for p in seq2seq.predict_scene(params, windows, beam_width, horizon)]
     lines = []
     for rec, hyps in zip(records, per_vehicle):
-        w, l = ogm.unflatten_indices([h.sequence for h in hyps], grid)
+        w, l = ogm.unflatten_indices([h.sequence for h in hyps], params.config.grid)
         obj = {
             "scenario_id": rec.scenario_id,
             "vehicle_id": rec.vehicle_id,
@@ -325,8 +324,6 @@ def cmd_eval(
     manifest = datagen.read_manifest(data_path)
     test_records = _split_records(records, manifest)["test"]
     eval_cfg = cfg.eval
-    grid = cfg.grid
-
     if use_kalman:
         model_cfg = cfg.model
         # single hypothesis: only omega = 1 applies
@@ -335,14 +332,13 @@ def cmd_eval(
     else:
         params = seq2seq.load_checkpoint(checkpoint_path)
         model_cfg = params.config
-        if (model_cfg.q_w, model_cfg.q_l) != (grid.q_w, grid.q_l):
-            grid = ogm.GridSpec.custom(model_cfg.q_w, model_cfg.q_l)
         if max(eval_cfg.omegas) > model_cfg.beam_width:
             raise ConfigError(
                 f"eval omega {max(eval_cfg.omegas)} exceeds beam width {model_cfg.beam_width}"
             )
         label = f"encoder-decoder checkpoint {checkpoint_path} (K={model_cfg.beam_width})"
 
+    grid = model_cfg.grid
     test_windows, _ = training.crop_windows(test_records, model_cfg.obs_len, model_cfg.horizon, grid)
     if not test_windows:
         print("error: no usable test windows in the dataset's test split", file=sys.stderr)
@@ -374,7 +370,7 @@ def cmd_eval(
 
 def _tiny_model(cell_dim=4, q_w=4, q_l=3, obs_len=3, horizon=2, seed=0, beam_width=4):
     config = seq2seq.ModelConfig(
-        cell_dim=cell_dim, q_w=q_w, q_l=q_l, obs_len=obs_len, horizon=horizon, beam_width=beam_width
+        cell_dim=cell_dim, grid=ogm.GridSpec.custom(q_w, q_l), obs_len=obs_len, horizon=horizon, beam_width=beam_width
     )
     params = seq2seq.init_model_params(config, seed=seed)
     return config, params
@@ -443,23 +439,9 @@ def _check_full_model_gradient() -> tuple[bool, str]:
     f, f_value = training.make_loss_fn(params, examples)
     x0 = training.get_flat_params(params)
     _, analytic = f(x0)
-    numeric = _central_differences(f_value, x0, 1e-5)
+    numeric = nn.central_differences(f_value, x0, 1e-5)
     err = float(np.max(np.abs(analytic - numeric)) / np.max(np.abs(analytic)))
     return err < 1e-6, f"max error relative to gradient scale {err:.3e}"
-
-
-def _central_differences(f_value, x0: np.ndarray, h: float) -> np.ndarray:
-    numeric = np.empty_like(x0)
-    x = x0.copy()
-    for k in range(x0.size):
-        orig = x[k]
-        x[k] = orig + h
-        fp = f_value(x)
-        x[k] = orig - h
-        fm = f_value(x)
-        x[k] = orig
-        numeric[k] = (fp - fm) / (2.0 * h)
-    return numeric
 
 
 def _check_beam_exhaustive() -> tuple[bool, str]:

@@ -289,17 +289,18 @@ def read_dataset(path: str) -> list[TrajectoryRecord]:
             for key in ("scenario_id", "vehicle_id", "frames"):
                 if key not in obj:
                     raise DatasetFormatError(f"{path}:{lineno}: missing field {key!r}")
-            frames = np.asarray(obj["frames"], dtype=np.float64)
-            if frames.ndim != 2 or frames.shape[1] != 6:
-                raise DatasetFormatError(f"{path}:{lineno}: frames must be rows of 6 features")
-            rec = TrajectoryRecord(scenario_id=int(obj["scenario_id"]), vehicle_id=int(obj["vehicle_id"]), frames=frames)
+            sid, vid = int(obj["scenario_id"]), int(obj["vehicle_id"])
+            where = f"{path}:{lineno}: scenario {sid} vehicle {vid}"
+            try:
+                frames = np.asarray(obj["frames"], dtype=np.float64)
+            except (TypeError, ValueError):  # ragged rows or non-numbers form no array
+                frames = None
+            if frames is None or frames.ndim != 2 or frames.shape[1] != 6:
+                raise DatasetFormatError(f"{where}: frames must be rows of 6 features")
             bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
             if bad.size:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: scenario {rec.scenario_id} vehicle {rec.vehicle_id}: "
-                    f"non-finite value in frame {bad[0]}"
-                )
-            records.append(rec)
+                raise DatasetFormatError(f"{where}: non-finite value in frame {bad[0]}")
+            records.append(TrajectoryRecord(scenario_id=sid, vehicle_id=vid, frames=frames))
     return records
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "lstm_forward",
     "lstm_backward",
     "gradient_check",
+    "central_differences",
     "glorot_uniform",
     "init_dense",
     "init_lstm",
@@ -148,15 +149,12 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
 # LSTM cell
 # ---------------------------------------------------------------------------
 
-# rows of the stacked gate matrices, in order
-_F, _I, _O, _G = range(4)
-
 
 @dataclass
 class LstmParams:
     """Cell parameters with the four gates row-stacked: w_u is (4*cell, in),
     w_h is (4*cell, cell), b is (4*cell,), blocks ordered (forget, input,
-    output, candidate). The per-gate matrices are exposed as views."""
+    output, candidate)."""
 
     w_u: np.ndarray
     w_h: np.ndarray
@@ -176,81 +174,6 @@ class LstmParams:
     @property
     def input_dim(self) -> int:
         return self.w_u.shape[1]
-
-    def _block(self, m: np.ndarray, gate: int) -> np.ndarray:
-        c = self.cell_dim
-        return m[gate * c : (gate + 1) * c]
-
-    # per-gate views (writable, backed by the stacked arrays)
-    @property
-    def w_uf(self) -> np.ndarray:
-        return self._block(self.w_u, _F)
-
-    @property
-    def w_ui(self) -> np.ndarray:
-        return self._block(self.w_u, _I)
-
-    @property
-    def w_uo(self) -> np.ndarray:
-        return self._block(self.w_u, _O)
-
-    @property
-    def w_uc(self) -> np.ndarray:
-        return self._block(self.w_u, _G)
-
-    @property
-    def w_hf(self) -> np.ndarray:
-        return self._block(self.w_h, _F)
-
-    @property
-    def w_hi(self) -> np.ndarray:
-        return self._block(self.w_h, _I)
-
-    @property
-    def w_ho(self) -> np.ndarray:
-        return self._block(self.w_h, _O)
-
-    @property
-    def w_hc(self) -> np.ndarray:
-        return self._block(self.w_h, _G)
-
-    @property
-    def b_f(self) -> np.ndarray:
-        return self._block(self.b, _F)
-
-    @property
-    def b_i(self) -> np.ndarray:
-        return self._block(self.b, _I)
-
-    @property
-    def b_o(self) -> np.ndarray:
-        return self._block(self.b, _O)
-
-    @property
-    def b_c(self) -> np.ndarray:
-        return self._block(self.b, _G)
-
-    @classmethod
-    def from_gates(
-        cls,
-        w_uf: np.ndarray,
-        w_hf: np.ndarray,
-        w_ui: np.ndarray,
-        w_hi: np.ndarray,
-        w_uo: np.ndarray,
-        w_ho: np.ndarray,
-        w_uc: np.ndarray,
-        w_hc: np.ndarray,
-        b_f: np.ndarray,
-        b_i: np.ndarray,
-        b_o: np.ndarray,
-        b_c: np.ndarray,
-    ) -> "LstmParams":
-        return cls(
-            w_u=np.concatenate([w_uf, w_ui, w_uo, w_uc], axis=0).astype(np.float64),
-            w_h=np.concatenate([w_hf, w_hi, w_ho, w_hc], axis=0).astype(np.float64),
-            b=np.concatenate([b_f, b_i, b_o, b_c]).astype(np.float64),
-        )
 
 
 @dataclass
@@ -361,19 +284,25 @@ def gradient_check(f, x0: np.ndarray, h: float = 1e-5, f_value=None) -> float:
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != x0.shape:
         raise ShapeError("analytic gradient shape != parameter shape")
-    value = f_value if f_value is not None else (lambda x: f(x)[0])
+    numeric = central_differences(f_value if f_value is not None else (lambda x: f(x)[0]), x0, h)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def central_differences(f_value, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Numerical gradient of the scalar f_value at x0, one coordinate at a
+    time: (f(x + h e_k) - f(x - h e_k)) / 2h."""
     numeric = np.empty_like(x0)
     x = x0.copy()
     for k in range(x0.size):
         orig = x[k]
         x[k] = orig + h
-        fp = value(x)
+        fp = f_value(x)
         x[k] = orig - h
-        fm = value(x)
+        fm = f_value(x)
         x[k] = orig
         numeric[k] = (fp - fm) / (2.0 * h)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return numeric
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +310,20 @@ def gradient_check(f, x0: np.ndarray, h: float = 1e-5, f_value=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator | None, out_dim: int, in_dim: int) -> np.ndarray:
+    """Uniform on +-sqrt(6 / (in + out)); rng None gives zeros, so the init
+    functions can lay out a shape-only template without random draws."""
+    if rng is None:
+        return np.zeros((out_dim, in_dim))
     bound = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-bound, bound, size=(out_dim, in_dim))
 
 
-def init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> DenseParams:
+def init_dense(rng: np.random.Generator | None, out_dim: int, in_dim: int) -> DenseParams:
     return DenseParams(weight=glorot_uniform(rng, out_dim, in_dim), bias=np.zeros(out_dim))
 
 
-def init_lstm(rng: np.random.Generator, cell_dim: int, input_dim: int) -> LstmParams:
+def init_lstm(rng: np.random.Generator | None, cell_dim: int, input_dim: int) -> LstmParams:
     """Glorot matrices per gate block; biases zero except forget gate at 1.0."""
     w_u = np.concatenate([glorot_uniform(rng, cell_dim, input_dim) for _ in range(4)], axis=0)
     w_h = np.concatenate([glorot_uniform(rng, cell_dim, cell_dim) for _ in range(4)], axis=0)

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import nn, ogm
 from .nn import DenseParams, LstmParams, LstmState
 
 __all__ = [
@@ -67,14 +67,15 @@ class ModelConfig:
     Defaults: 256-dim cells, 3 dense layers on each side, 2-deep LSTM stacks,
     observation window 30 frames (3 s at 100 ms), 10 decode steps (2 s at
     0.2 s), beam width 10, over the default 36 x 21 grid (757 classes).
+    The grid is part of the model: its cells plus out-of-map are the output
+    classes, and checkpoints record its full geometry.
     """
 
     input_dim: int = NUM_FEATURES
     cell_dim: int = 256
     fc_depth: int = 3
     lstm_stack_depth: int = 2
-    q_w: int = 36
-    q_l: int = 21
+    grid: ogm.GridSpec = field(default_factory=ogm.GridSpec)
     obs_len: int = 30
     horizon: int = 10
     beam_width: int = 10
@@ -87,16 +88,16 @@ class ModelConfig:
             raise ValueError("cell_dim must be even (two embedding halves)")
         if self.fc_depth < 1 or self.lstm_stack_depth < 1:
             raise ValueError("layer depths must be >= 1")
-        if min(self.q_w, self.q_l, self.obs_len, self.horizon, self.beam_width) < 1:
-            raise ValueError("grid dims, obs_len, horizon, beam_width must be >= 1")
+        if min(self.obs_len, self.horizon, self.beam_width) < 1:
+            raise ValueError("obs_len, horizon, beam_width must be >= 1")
 
     @property
     def num_classes(self) -> int:
-        return self.q_w * self.q_l + 1
+        return self.grid.num_classes
 
     @property
     def out_of_map_class(self) -> int:
-        return self.num_classes
+        return self.grid.out_of_map_class
 
     @property
     def embed_dim_per_axis(self) -> int:
@@ -105,11 +106,11 @@ class ModelConfig:
     @property
     def embed_cols_w(self) -> int:
         # one column per longitudinal index plus the out-of-map state
-        return self.q_w + 1
+        return self.grid.q_w + 1
 
     @property
     def embed_cols_l(self) -> int:
-        return self.q_l + 1
+        return self.grid.q_l + 1
 
 
 @dataclass
@@ -156,8 +157,8 @@ class ModelParams:
     enc_lstm: list[LstmParams]
     dec_lstm: list[LstmParams]
     dec_fc: list[DenseParams]
-    embed_w: np.ndarray  # (cell_dim/2, q_w+1)
-    embed_l: np.ndarray  # (cell_dim/2, q_l+1)
+    embed_w: np.ndarray  # (cell_dim/2, grid.q_w+1)
+    embed_l: np.ndarray  # (cell_dim/2, grid.q_l+1)
     feat_mean: np.ndarray  # (6,)
     feat_std: np.ndarray  # (6,)
 
@@ -189,6 +190,12 @@ def init_model_params(config: ModelConfig, seed: int | np.random.Generator = 0) 
     """Fresh parameters: Glorot-uniform matrices, zero biases except LSTM
     forget gates at 1.0, normalizer at identity (mean 0, std 1)."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return _layout_params(config, rng)
+
+
+def _layout_params(config: ModelConfig, rng: np.random.Generator | None) -> ModelParams:
+    """Every tensor in canonical order, matrices drawn from rng in that
+    order; rng None gives zero matrices without drawing random numbers."""
     c = config.cell_dim
     enc_fc = []
     in_dim = config.input_dim
@@ -309,13 +316,9 @@ def decoder_initial_state(params: ModelParams, summary: EncoderSummary) -> list[
 def token_embed_columns(tokens: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Column indices into the two embedding matrices for flat class ids;
     the out-of-map class selects the extra final column of each."""
-    q = np.asarray(tokens)
-    if np.any((q < 1) | (q > config.num_classes)):
-        raise ValueError("token outside 1..num_classes")
-    oom = q == config.out_of_map_class
-    wc = np.where(oom, config.q_w, (q - 1) // config.q_l)
-    lc = np.where(oom, config.q_l, (q - 1) % config.q_l)
-    return wc, lc
+    w, l = ogm.unflatten_indices(tokens, config.grid)
+    # out of map is w == l == 0
+    return np.where(w > 0, w - 1, config.grid.q_w), np.where(l > 0, l - 1, config.grid.q_l)
 
 
 def embed_tokens(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
@@ -528,7 +531,8 @@ def predict_scene(params: ModelParams, scenes, beam_width: int | None = None, ho
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = "GRIDCAST-CHECKPOINT"
-CHECKPOINT_VERSION = 1
+# v2 records the full grid geometry; v1 recorded only its dimensions
+CHECKPOINT_VERSION = 2
 _BLOB_SEPARATOR = b"\n#BLOBS\n"
 
 
@@ -580,15 +584,15 @@ def load_checkpoint(path: str) -> ModelParams:
     if not first_line.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path}: bad magic {first_line!r}")
     version = manifest.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointError(f"{path}: format version {version}, expected 1 or {CHECKPOINT_VERSION}")
     try:
-        config = ModelConfig(**manifest["config"])
+        config = _manifest_config(dict(manifest["config"]), version)
         tensors = manifest["tensors"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid manifest contents ({exc})") from exc
 
-    params = init_model_params(config, seed=0)
+    params = _layout_params(config, None)
     expected = params.checkpoint_items()
     if [t["name"] for t in tensors] != [name for name, _ in expected]:
         raise CheckpointError(f"{path}: tensor ordering does not match this architecture")
@@ -607,3 +611,14 @@ def load_checkpoint(path: str) -> ModelParams:
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after last tensor")
     return params
+
+
+def _manifest_config(raw: dict, version: int) -> ModelConfig:
+    if version == 1:
+        # v1 held only q_w/q_l: 36 x 21 meant the default geometry, any
+        # other size the centered GridSpec.custom grid
+        dims = (raw.pop("q_w"), raw.pop("q_l"))
+        grid = ogm.GridSpec() if dims == (36, 21) else ogm.GridSpec.custom(*dims)
+    else:
+        grid = ogm.GridSpec(**raw.pop("grid"))
+    return ModelConfig(grid=grid, **raw)

@@ -24,7 +24,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def tiny_model(cell_dim=4, q_w=4, q_l=3, obs_len=3, horizon=4, seed=0, beam_width=4):
     config = seq2seq.ModelConfig(
-        cell_dim=cell_dim, q_w=q_w, q_l=q_l, obs_len=obs_len, horizon=horizon, beam_width=beam_width
+        cell_dim=cell_dim, grid=ogm.GridSpec.custom(q_w, q_l), obs_len=obs_len, horizon=horizon, beam_width=beam_width
     )
     params = seq2seq.init_model_params(config, seed=seed)
     rng = np.random.default_rng(seed + 7777)
@@ -104,7 +104,7 @@ def test_criterion_1_gradient_fidelity():
     is valid (|a| >= 1e-2 * scale); the raw formula value is printed too.
     """
     t0 = time.perf_counter()
-    config = seq2seq.ModelConfig(cell_dim=8, q_w=36, q_l=21, obs_len=4, horizon=3)
+    config = seq2seq.ModelConfig(cell_dim=8, grid=ogm.GridSpec.custom(36, 21), obs_len=4, horizon=3)
     params = seq2seq.init_model_params(config, seed=0)
     # evaluation point verified non-degenerate: positive biases keep every
     # relu/gate live; seed 6 gives 100% nonzero gradients per tensor
@@ -368,7 +368,7 @@ def test_criterion_10_kalman_exactness():
 def test_criterion_11_determinism_and_persistence(tmp_path):
     """Same seed: bit-identical training traces and beam outputs; checkpoint
     round trip bit-exact and decode-invariant."""
-    config = seq2seq.ModelConfig(cell_dim=8, q_w=6, q_l=3, obs_len=6, horizon=2)
+    config = seq2seq.ModelConfig(cell_dim=8, grid=ogm.GridSpec.custom(6, 3), obs_len=6, horizon=2)
     grid = ogm.GridSpec.custom(6, 3)
     rng = np.random.default_rng(0)
     records = []

@@ -3,17 +3,18 @@ datagen -> train -> predict -> eval pipeline at toy scale, verify battery."""
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gridcast import datagen, seq2seq
+from gridcast import datagen, ogm, seq2seq, training
 from gridcast.cli import ConfigError, load_run_config, main, validate_run_config
 
 # a toy setup that trains in seconds: 6x3 grid, 4-dim cells, 1 s window
 TOY = [
     "grid.q_w=6", "grid.q_l=3",
-    "model.q_w=6", "model.q_l=3", "model.cell_dim=8",
+    "model.cell_dim=8",
     "model.obs_len=10", "model.horizon=3", "model.beam_width=4",
     "eval.omegas=1,3", "eval.horizons_s=0.2,0.6",
     "data.n_scenarios=8", "data.vehicles_per_scenario=2", "data.frames_per_record=20",
@@ -92,10 +93,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="horizon"):
             validate_run_config(cfg)
 
-    def test_grid_model_mismatch(self):
-        cfg = load_run_config(None, ["model.q_w=35", "model.q_l=21"])
-        with pytest.raises(ConfigError, match="grid"):
-            validate_run_config(cfg)
+    def test_model_grid_dims_are_unknown_keys(self, tmp_path, capsys):
+        # the grid.* keys are the only way to set the model's grid
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_run_config(None, ["model.q_w=35"])
+        assert main(["datagen", "--out", str(tmp_path / "x.jsonl"), "--set", "model.q_w=35"]) == 2
+        assert "unknown key 'q_w'" in capsys.readouterr().err
+
+    def test_grid_keys_set_the_model_grid(self):
+        cfg = load_run_config(None, ["grid.q_w=6", "grid.cell_len=4.0"])
+        assert cfg.model.grid.x_max == 24.0
+        assert cfg.model.num_classes == 6 * 21 + 1
 
     def test_records_too_short(self):
         cfg = load_run_config(None, ["data.frames_per_record=40"])
@@ -234,6 +242,20 @@ class TestPipeline:
         assert rc == 2
         assert "beam width" in capsys.readouterr().err
 
+    def test_eval_crops_on_the_checkpoint_grid(self, tmp_path):
+        # trained on 4 m cells (x in [0, 24) m); eval with no grid flags must
+        # quantize the labels on that grid, not on a grid rebuilt from 6 x 3
+        data, ckpt = str(tmp_path / "data.jsonl"), str(tmp_path / "model.ckpt")
+        assert main(["datagen", "--out", data, "--seed", "3"] + toy_args("grid.cell_len=4.0")) == 0
+        assert main(["train", "--data", data, "--out", ckpt, "--seed", "3"] + toy_args("grid.cell_len=4.0")) == 0
+        assert seq2seq.load_checkpoint(ckpt).config.grid == ogm.GridSpec.custom(6, 3, cell_len=4.0)
+        no_grid_flags = [a for item in TOY if not item.startswith("grid.") for a in ("--set", item)]
+        with mock.patch.object(training, "crop_windows", wraps=training.crop_windows) as crop:
+            rc = main(["eval", "--checkpoint", ckpt, "--data", data,
+                       "--out-series", str(tmp_path / "s.csv")] + no_grid_flags)
+        assert rc == 0
+        assert [c.args[3].x_max for c in crop.call_args_list] == [24.0]
+
     def test_overfit_mode(self, workdir, capsys):
         ckpt = os.path.join(workdir["dir"], "overfit.ckpt")
         rc = main(["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3",
@@ -272,6 +294,16 @@ class TestBadInput:
         assert rc == 2
         assert where in capsys.readouterr().err
         assert not os.path.exists(series)
+
+    def test_predict_ragged_frames(self, workdir, tmp_path, capsys):
+        data = str(tmp_path / "ragged.jsonl")
+        with open(data, "w") as f:
+            f.write(json.dumps({"scenario_id": 4, "vehicle_id": 9, "frames": [[0.0] * 6, [0.0] * 5]}) + "\n")
+        out = str(tmp_path / "pred.jsonl")
+        rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", data, "--out", out])
+        assert rc == 2
+        assert f"{data}:1: scenario 4 vehicle 9: frames must be rows of 6 features" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("mode", [[], ["--greedy"]])
     def test_non_finite_logits_exit_2_without_output(self, workdir, tmp_path, capsys, mode):

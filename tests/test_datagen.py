@@ -206,6 +206,14 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="6 features"):
             read_dataset(path)
 
+    def test_ragged_frame_rows_name_scenario_vehicle(self, tmp_path):
+        path = os.path.join(tmp_path, "data.jsonl")
+        with open(path, "w") as f:
+            f.write(json.dumps({"scenario_id": 0, "vehicle_id": 0, "frames": [[0.0] * 6]}) + "\n")
+            f.write(json.dumps({"scenario_id": 2, "vehicle_id": 5, "frames": [[0.0] * 6, [0.0] * 5]}) + "\n")
+        with pytest.raises(DatasetFormatError, match=r"data\.jsonl:2: scenario 2 vehicle 5: frames must be rows of 6"):
+            read_dataset(path)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_frame_names_scenario_vehicle_frame(self, tmp_path, bad):
         records, _ = generate_dataset(SMALL)

@@ -1,7 +1,9 @@
 """Encoder-decoder model: composition against nn primitives, beam search
 against exhaustive enumeration, greedy equivalence, checkpoint persistence."""
 
+import json
 import os
+from dataclasses import asdict
 from itertools import product
 from unittest import mock
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcast import nn, seq2seq
+from gridcast.ogm import GridSpec
 from gridcast.seq2seq import (
     CheckpointError,
     ModelConfig,
@@ -28,7 +31,7 @@ from gridcast.seq2seq import (
 
 def tiny_model(cell_dim=4, q_w=4, q_l=3, obs_len=3, horizon=3, seed=0, beam_width=4, randomize=True):
     config = ModelConfig(
-        cell_dim=cell_dim, q_w=q_w, q_l=q_l, obs_len=obs_len, horizon=horizon, beam_width=beam_width
+        cell_dim=cell_dim, grid=GridSpec.custom(q_w, q_l), obs_len=obs_len, horizon=horizon, beam_width=beam_width
     )
     params = init_model_params(config, seed=seed)
     if randomize:
@@ -76,6 +79,25 @@ class TestModelConfig:
         for cell in params.enc_lstm + params.dec_lstm:
             assert cell.w_u.shape == (24, 6)
             assert cell.w_h.shape == (24, 6)
+
+
+    def test_init_keeps_its_random_stream(self):
+        config = ModelConfig(cell_dim=4, fc_depth=2, grid=GridSpec.custom(4, 3), obs_len=3, horizon=2)
+        params = init_model_params(config, seed=17)
+        # today's draw order: encoder dense, encoder LSTMs, decoder LSTMs,
+        # decoder dense, then the two embedding matrices
+        rng = np.random.default_rng(17)
+        enc_fc = [nn.init_dense(rng, 4, 6), nn.init_dense(rng, 4, 4)]
+        lstms = [nn.init_lstm(rng, 4, 4) for _ in range(4)]
+        dec_fc = [nn.init_dense(rng, 4, 4), nn.init_dense(rng, config.num_classes, 4)]
+        embed = [nn.glorot_uniform(rng, 2, 5), nn.glorot_uniform(rng, 2, 4)]
+        expected = [a for p in enc_fc for a in (p.weight, p.bias)]
+        expected += [a for p in lstms for a in (p.w_u, p.w_h, p.b)]
+        expected += [a for p in dec_fc for a in (p.weight, p.bias)] + embed
+        got = [a for _, a in params.param_items()]
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestEncode:
@@ -141,8 +163,8 @@ class TestDecodeStep:
         config, params = tiny_model(seed=4)
         u = seq2seq.embed_tokens(params, np.asarray(config.out_of_map_class))
         half = config.embed_dim_per_axis
-        assert np.array_equal(u[:half], params.embed_w[:, config.q_w])
-        assert np.array_equal(u[half:], params.embed_l[:, config.q_l])
+        assert np.array_equal(u[:half], params.embed_w[:, config.grid.q_w])
+        assert np.array_equal(u[half:], params.embed_l[:, config.grid.q_l])
 
     def test_token_column_mapping(self):
         config, _ = tiny_model(q_w=4, q_l=3)
@@ -162,7 +184,7 @@ class TestDecodeStep:
         state = decoder_initial_state(params, summary)
         probs, _ = decode_step(params, state, 5)
 
-        u = np.concatenate([params.embed_w[:, (5 - 1) // config.q_l], params.embed_l[:, (5 - 1) % config.q_l]])
+        u = np.concatenate([params.embed_w[:, (5 - 1) // config.grid.q_l], params.embed_l[:, (5 - 1) % config.grid.q_l]])
         st = [s.copy() for s in state]
         for k, cell in enumerate(params.dec_lstm):
             st[k], _ = nn.lstm_forward(cell, u, st[k])
@@ -180,7 +202,7 @@ class TestDecodeStep:
             assert np.array_equal(init[k].h, summary.states[k].h)  # copy_hidden_state default
 
     def test_zero_hidden_variant(self):
-        config = ModelConfig(cell_dim=4, q_w=4, q_l=3, obs_len=3, horizon=3, copy_hidden_state=False)
+        config = ModelConfig(cell_dim=4, grid=GridSpec.custom(4, 3), obs_len=3, horizon=3, copy_hidden_state=False)
         params = init_model_params(config, seed=0)
         summary = encode(params, np.random.default_rng(1).standard_normal((3, 6)))
         init = decoder_initial_state(params, summary)
@@ -383,6 +405,56 @@ class TestCheckpoints:
             assert np.array_equal(a, b)
         assert loaded.config == params.config
 
+    def test_roundtrip_keeps_full_grid_geometry(self, tmp_path):
+        # same 36 x 21 dimensions as the default grid, different geometry
+        grid = GridSpec(cell_len=4.0, x_max=144.0)
+        params = init_model_params(ModelConfig(cell_dim=4, grid=grid, obs_len=3, horizon=2), seed=36)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.config == params.config
+        assert loaded.config.grid == grid
+
+    @pytest.mark.parametrize(
+        "q_w, q_l, grid", [(36, 21, GridSpec()), (6, 3, GridSpec.custom(6, 3))], ids=["default", "6x3"]
+    )
+    def test_version_1_file_loads_with_its_grid(self, tmp_path, q_w, q_l, grid):
+        config = ModelConfig(cell_dim=4, grid=grid, obs_len=3, horizon=3)
+        params = init_model_params(config, seed=37)
+        v2 = os.path.join(tmp_path, "v2.ckpt")
+        save_checkpoint(params, v2)
+        # a version-1 file: the same tensors, the config with q_w/q_l in
+        # place of the grid
+        raw_config = asdict(config)
+        del raw_config["grid"]
+        raw_config.update(q_w=q_w, q_l=q_l)
+        items = params.checkpoint_items()
+        manifest = {
+            "format_version": 1,
+            "config": raw_config,
+            "tensors": [{"name": name, "shape": list(a.shape)} for name, a in items],
+        }
+        v1 = os.path.join(tmp_path, "v1.ckpt")
+        with open(v1, "wb") as f:
+            f.write(b"GRIDCAST-CHECKPOINT v1\n" + json.dumps(manifest).encode() + b"\n#BLOBS\n")
+            f.write(b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in items))
+        old, new = load_checkpoint(v1), load_checkpoint(v2)
+        assert old.config.grid == grid
+        assert old.config == new.config
+        obs = np.random.default_rng(37).standard_normal((3, 6))
+        a = beam_search_decode(old, encode(old, obs)).hypotheses
+        b = beam_search_decode(new, encode(new, obs)).hypotheses
+        assert [(h.sequence, h.log_prob) for h in a] == [(h.sequence, h.log_prob) for h in b]
+
+    def test_load_draws_no_random_numbers(self, tmp_path):
+        config, params = tiny_model(seed=38)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_checkpoint(params, path)
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("random draw")):
+            loaded = load_checkpoint(path)
+        for (_, a), (_, b) in zip(params.checkpoint_items(), loaded.checkpoint_items()):
+            assert np.array_equal(a, b)
+
     def test_decode_invariant_across_roundtrip(self, tmp_path):
         config, params = tiny_model(seed=31)
         obs = np.random.default_rng(31).standard_normal((3, 6))
@@ -426,7 +498,7 @@ class TestCheckpoints:
         save_checkpoint(params, path)
         raw = open(path, "rb").read()
         with open(path, "wb") as f:
-            f.write(raw.replace(b'"format_version": 1', b'"format_version": 9', 1))
+            f.write(raw.replace(f'"format_version": {seq2seq.CHECKPOINT_VERSION}'.encode(), b'"format_version": 9', 1))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 

@@ -23,7 +23,7 @@ from gridcast.training import (
 
 
 def tiny_setup(cell_dim=4, q_w=4, q_l=3, obs_len=3, horizon=3, seed=0, n_examples=2, randomize=True):
-    config = seq2seq.ModelConfig(cell_dim=cell_dim, q_w=q_w, q_l=q_l, obs_len=obs_len, horizon=horizon)
+    config = seq2seq.ModelConfig(cell_dim=cell_dim, grid=ogm.GridSpec.custom(q_w, q_l), obs_len=obs_len, horizon=horizon)
     params = seq2seq.init_model_params(config, seed=seed)
     rng = np.random.default_rng(seed + 5000)
     if randomize:
@@ -276,7 +276,7 @@ class TestTrainLoop:
     def small_dataset(self, seed=0):
         # straight-line records over a small grid: quickly learnable
         rng = np.random.default_rng(seed)
-        config = seq2seq.ModelConfig(cell_dim=8, q_w=6, q_l=3, obs_len=6, horizon=2)
+        config = seq2seq.ModelConfig(cell_dim=8, grid=ogm.GridSpec.custom(6, 3), obs_len=6, horizon=2)
         grid = ogm.GridSpec.custom(6, 3)
         records = []
         for _ in range(12):
