@@ -106,7 +106,7 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
     seed: int | None = None
     for key, value, where in pairs:
         if key == "seed":
-            seed = int(value)
+            seed = _parse_value(value, int, key)
             continue
         if "." not in key:
             raise ConfigError(f"{where}: key {key!r} needs a section prefix (e.g. model.cell_dim)")
@@ -261,8 +261,7 @@ def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int 
             print(f"last good checkpoint kept at {out_checkpoint}", file=sys.stderr)
         return 3
     seq2seq.save_checkpoint(result.params, out_checkpoint)
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        f.write(result.trace_csv())
+    seq2seq.write_atomic(metrics_path, result.trace_csv().encode("utf-8"), prefix=".metrics-")
     print(
         f"done ({result.stop_reason}): best val NLL {result.best_val_nll:.4f}; "
         f"checkpoint {out_checkpoint}, metrics {metrics_path}"
@@ -383,8 +382,8 @@ def _check_lstm_gradient(perturb: float) -> tuple[bool, str]:
     cell, dim, steps = 4, 3, 5
     p = nn.init_lstm(rng, cell, dim)
     p.b[...] = rng.uniform(-0.5, 0.5, size=p.b.shape)
-    inputs = rng.standard_normal((steps, dim))
-    target = rng.standard_normal(cell)
+    inputs = rng.standard_normal((steps, 1, dim))
+    target = rng.standard_normal((1, cell))
     shapes = [("w_u", p.w_u.shape), ("w_h", p.w_h.shape), ("b", p.b.shape)]
     sizes = [int(np.prod(s)) for _, s in shapes]
 
@@ -393,15 +392,15 @@ def _check_lstm_gradient(perturb: float) -> tuple[bool, str]:
         for (name, shape), size in zip(shapes, sizes):
             getattr(p, name)[...] = vec[offset : offset + size].reshape(shape)
             offset += size
-        state = nn.LstmState.zeros(cell)
+        state = nn.LstmState.zeros(1, cell)
         tapes = []
         for t in range(steps):
             state, tape = nn.lstm_forward(p, inputs[t], state)
             tapes.append(tape)
         diff = state.h - target
-        value = 0.5 * float(diff @ diff)
+        value = 0.5 * float(np.vdot(diff, diff))
         grads_total = {name: np.zeros(shape) for name, shape in shapes}
-        dc, dh = np.zeros(cell), diff
+        dc, dh = np.zeros((1, cell)), diff
         for t in range(steps - 1, -1, -1):
             cell_grads, grad_prev, _ = nn.lstm_backward(p, tapes[t], dc, dh)
             for name, _ in shapes:
@@ -455,12 +454,12 @@ def _check_beam_exhaustive() -> tuple[bool, str]:
     scored = []
     for seq in product(range(1, config.num_classes + 1), repeat=3):
         state = seq2seq.decoder_initial_state(params, summary)
-        u = seq2seq.start_input(params)
+        u = seq2seq.start_input(params, 1)
         lp = 0.0
         for q in seq:
             logits, state, _ = seq2seq.decode_core(params, state, u, False)
-            lp += float(nn.log_softmax(logits)[q - 1])
-            u = seq2seq.embed_tokens(params, np.asarray(q))
+            lp += float(nn.log_softmax(logits)[0, q - 1])
+            u = seq2seq.embed_tokens(params, np.array([q]))
         scored.append((list(seq), lp))
     scored.sort(key=lambda item: -item[1])
     ok, lp_err = _same_ranking(

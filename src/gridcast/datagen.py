@@ -289,7 +289,10 @@ def read_dataset(path: str) -> list[TrajectoryRecord]:
             for key in ("scenario_id", "vehicle_id", "frames"):
                 if key not in obj:
                     raise DatasetFormatError(f"{path}:{lineno}: missing field {key!r}")
-            sid, vid = int(obj["scenario_id"]), int(obj["vehicle_id"])
+            for key in ("scenario_id", "vehicle_id"):
+                if not isinstance(obj[key], int) or isinstance(obj[key], bool):
+                    raise DatasetFormatError(f"{path}:{lineno}: field {key!r} must be an integer, got {obj[key]!r}")
+            sid, vid = obj["scenario_id"], obj["vehicle_id"]
             where = f"{path}:{lineno}: scenario {sid} vehicle {vid}"
             try:
                 frames = np.asarray(obj["frames"], dtype=np.float64)

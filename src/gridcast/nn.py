@@ -1,10 +1,11 @@
 """Minimal 64-bit neural-network core: dense layers, the LSTM cell with exact
 analytic gradients, stable softmax, and a finite-difference gradient checker.
 
-All tensors are float64 numpy arrays. Vector ops accept a single vector
-(dim,) or a batch (B, dim); reductions are delegated to numpy, whose
-summation order is fixed for identical shapes, so identical inputs produce
-bit-identical outputs run to run.
+All tensors are float64 numpy arrays. Layer inputs and LSTM states are
+(rows, dim) arrays whose rows are examples or beam hypotheses; a single one
+is one row. Reductions are delegated to numpy, whose summation order is
+fixed for identical shapes, so identical inputs produce bit-identical
+outputs run to run.
 
 The LSTM cell implements
 
@@ -32,7 +33,6 @@ __all__ = [
     "log_softmax",
     "DenseParams",
     "DenseTape",
-    "dense_forward",
     "dense_forward_cached",
     "dense_backward",
     "LstmParams",
@@ -103,18 +103,20 @@ class DenseTape:
     activation: str
 
 
-def dense_forward(p: DenseParams, u: np.ndarray, activation: str = "relu") -> np.ndarray:
-    """activation(weight @ u + bias); activation is "relu" or "none"."""
-    out, _ = dense_forward_cached(p, u, activation)
-    return out
+def _rows(u: np.ndarray, width: int, what: str) -> np.ndarray:
+    """u as a float64 (rows, width) array, or ShapeError."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != width:
+        raise ShapeError(f"{what} must be (rows, {width}), got {u.shape}")
+    return u
 
 
 def dense_forward_cached(
     p: DenseParams, u: np.ndarray, activation: str = "relu"
 ) -> tuple[np.ndarray, DenseTape]:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[-1] != p.in_dim:
-        raise ShapeError(f"dense input width {u.shape[-1]} != {p.in_dim}")
+    """activation(u @ weight.T + bias) over (rows, in_dim) inputs, with the
+    tape for dense_backward; activation is "relu" or "none"."""
+    u = _rows(u, p.in_dim, "dense input")
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
     pre = u @ p.weight.T + p.bias
@@ -129,20 +131,8 @@ def dense_backward(
     g = np.asarray(grad_out, dtype=np.float64)
     if tape.activation == "relu":
         g = g * (tape.pre > 0)
-    grads = {"weight": _weight_grad(g, tape.u), "bias": _bias_grad(g)}
+    grads = {"weight": g.T @ tape.u, "bias": g.sum(axis=0)}
     return grads, g @ p.weight
-
-
-def _weight_grad(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if g.ndim == 1:
-        return np.outer(g, u)
-    return g.T @ u
-
-
-def _bias_grad(g: np.ndarray) -> np.ndarray:
-    if g.ndim == 1:
-        return g.copy()
-    return g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +168,12 @@ class LstmParams:
 
 @dataclass
 class LstmState:
-    c: np.ndarray  # cell memory, (cell,) or (B, cell)
+    c: np.ndarray  # cell memory, (rows, cell)
     h: np.ndarray  # state output, same shape
 
     @classmethod
-    def zeros(cls, cell_dim: int, batch: int | None = None) -> "LstmState":
-        shape = (cell_dim,) if batch is None else (batch, cell_dim)
-        return cls(c=np.zeros(shape), h=np.zeros(shape))
-
-    def copy(self) -> "LstmState":
-        return LstmState(c=self.c.copy(), h=self.h.copy())
+    def zeros(cls, rows: int, cell_dim: int) -> "LstmState":
+        return cls(c=np.zeros((rows, cell_dim)), h=np.zeros((rows, cell_dim)))
 
 
 @dataclass
@@ -208,18 +194,17 @@ class LstmTape:
 def lstm_forward(
     p: LstmParams, u: np.ndarray, prev: LstmState
 ) -> tuple[LstmState, LstmTape]:
-    """One step of the gate recursion; returns the next state and the tape."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[-1] != p.input_dim:
-        raise ShapeError(f"lstm input width {u.shape[-1]} != {p.input_dim}")
-    if prev.h.shape[-1] != p.cell_dim or prev.c.shape[-1] != p.cell_dim:
-        raise ShapeError("state width != cell_dim")
+    """One step of the gate recursion over (rows, input_dim) inputs and a
+    (rows, cell_dim) state; returns the next state and the tape."""
+    u = _rows(u, p.input_dim, "lstm input")
     cdim = p.cell_dim
+    if prev.c.shape != (len(u), cdim) or prev.h.shape != (len(u), cdim):
+        raise ShapeError(f"lstm state must be ({len(u)}, {cdim}), got c {prev.c.shape}, h {prev.h.shape}")
     z = u @ p.w_u.T + prev.h @ p.w_h.T + p.b
-    f = sigmoid(z[..., :cdim])
-    i = sigmoid(z[..., cdim : 2 * cdim])
-    o = sigmoid(z[..., 2 * cdim : 3 * cdim])
-    g = np.tanh(z[..., 3 * cdim :])
+    f = sigmoid(z[:, :cdim])
+    i = sigmoid(z[:, cdim : 2 * cdim])
+    o = sigmoid(z[:, 2 * cdim : 3 * cdim])
+    g = np.tanh(z[:, 3 * cdim :])
     c = f * prev.c + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
@@ -255,13 +240,9 @@ def lstm_backward(
     da_i = di * tape.i * (1.0 - tape.i)
     da_o = do * tape.o * (1.0 - tape.o)
     da_g = dg * (1.0 - tape.g**2)
-    da = np.concatenate([da_f, da_i, da_o, da_g], axis=-1)
+    da = np.concatenate([da_f, da_i, da_o, da_g], axis=1)
 
-    grads = {
-        "w_u": _weight_grad(da, tape.u),
-        "w_h": _weight_grad(da, tape.h_prev),
-        "b": _bias_grad(da),
-    }
+    grads = {"w_u": da.T @ tape.u, "w_h": da.T @ tape.h_prev, "b": da.sum(axis=0)}
     grad_prev = LstmState(c=dc_prev, h=da @ p.w_h)
     grad_u = da @ p.w_u
     return grads, grad_prev, grad_u

@@ -12,11 +12,14 @@ a softmax gives the occupancy probability over all grid classes plus
 out-of-map. Beam search keeps the highest cumulative-log-probability
 hypotheses; width 1 is greedy decoding.
 
-Inference decodes every hypothesis of every vehicle in a chunk as one row of
-a batch: one decoder call per step over all rows. Results are bit-identical
-run to run; replaying a hypothesis one row at a time reproduces its
-cumulative log probability within 1e-12 (a batched row product and a
-single-row product may round differently).
+Every computation runs on rows: encoder windows, decoder inputs and LSTM
+states are batches whose rows are training examples, vehicles or beam
+hypotheses, and a single vehicle is one row. Inference decodes every
+hypothesis of every vehicle in a chunk as one row of a batch: one decoder
+call per step over all rows. Results are bit-identical run to run; replaying
+a hypothesis one row at a time reproduces its cumulative log probability
+within 1e-12 (a batched row product and a single-row product may round
+differently).
 """
 
 from __future__ import annotations
@@ -259,23 +262,22 @@ def _observation_window(params: ModelParams, obs) -> np.ndarray:
 
 
 def encode(params: ModelParams, obs) -> EncoderSummary:
-    """Run the encoder over exactly obs_len observations (oldest first)."""
-    summary, _ = encode_core(params, _observation_window(params, obs), with_tapes=False)
+    """Run the encoder over exactly obs_len observations (oldest first); the
+    summary states are one (1, cell) row."""
+    summary, _ = encode_core(params, _observation_window(params, obs)[None], with_tapes=False)
     return summary
 
 
 def encode_core(
     params: ModelParams, obs: np.ndarray, with_tapes: bool
 ) -> tuple[EncoderSummary, EncoderTapes | None]:
-    """Encoder forward over (M, 6) or batched (B, M, 6) observations."""
+    """Encoder forward over (B, M, 6) observations: B windows of M frames."""
     obs = np.asarray(obs, dtype=np.float64)
-    batch = obs.shape[0] if obs.ndim == 3 else None
-    steps = obs.shape[-2]
-    cdim = params.config.cell_dim
-    states = [LstmState.zeros(cdim, batch) for _ in params.enc_lstm]
+    batch, steps, _ = obs.shape
+    states = [LstmState.zeros(batch, params.config.cell_dim) for _ in params.enc_lstm]
     tapes = EncoderTapes(fc=[], lstm=[]) if with_tapes else None
     for t in range(steps):
-        u = normalize_features(params, obs[..., t, :])
+        u = normalize_features(params, obs[:, t])
         fc_tapes = []
         for fc in params.enc_fc:
             u, tape = nn.dense_forward_cached(fc, u, "relu")
@@ -322,18 +324,15 @@ def token_embed_columns(tokens: np.ndarray, config: ModelConfig) -> tuple[np.nda
 
 
 def embed_tokens(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
-    """Decoder input vectors: per token, concat of one column from each
-    embedding matrix. tokens is a scalar or (B,) of flat class ids."""
+    """Decoder input rows for (rows,) flat class ids: per token, the concat
+    of one column from each embedding matrix."""
     wc, lc = token_embed_columns(tokens, params.config)
-    if np.ndim(tokens) == 0:
-        return np.concatenate([params.embed_w[:, wc], params.embed_l[:, lc]])
     return np.concatenate([params.embed_w[:, wc].T, params.embed_l[:, lc].T], axis=1)
 
 
-def start_input(params: ModelParams, batch: int | None = None) -> np.ndarray:
-    """The dummy decode-start input: a zero vector in place of an embedding."""
-    shape = (params.config.cell_dim,) if batch is None else (batch, params.config.cell_dim)
-    return np.zeros(shape)
+def start_input(params: ModelParams, rows: int) -> np.ndarray:
+    """The dummy decode-start input: zero rows in place of embeddings."""
+    return np.zeros((rows, params.config.cell_dim))
 
 
 def decode_core(
@@ -360,23 +359,21 @@ def decode_core(
 def decode_step(
     params: ModelParams, state: list[LstmState], prev: int | None
 ) -> tuple[np.ndarray, list[LstmState]]:
-    """One public decode step: probability map over all classes and the
-    advanced decoder state. prev is the previous flat class id, or None for
-    the decode-start token."""
-    u = start_input(params) if prev is None else embed_tokens(params, np.asarray(prev))
+    """One public decode step for one vehicle's (1, cell) state rows: its
+    (num_classes,) probability map and the advanced state. prev is the
+    previous flat class id, or None for the decode-start token."""
+    u = start_input(params, 1) if prev is None else embed_tokens(params, np.array([prev]))
     logits, new_state, _ = decode_core(params, state, u, with_tapes=False)
-    return nn.softmax(logits), new_state
+    return nn.softmax(logits)[0], new_state
 
 
 @dataclass
 class BeamHypothesis:
     """A predicted class sequence with its cumulative natural-log
-    probability. state is a decoder state for callers that build hypotheses
-    by hand; the decoders leave it empty."""
+    probability."""
 
     sequence: list[int]
     log_prob: float
-    state: list[LstmState] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -390,18 +387,12 @@ class TrajectoryPrediction:
     probability_maps: list[np.ndarray] | None = None
 
 
-def _single_vehicle_rows(params: ModelParams, summary: EncoderSummary) -> list[LstmState]:
-    """One vehicle's decoder initial state as (1, cell) rows."""
-    shape = (1, params.config.cell_dim)
-    return [LstmState(c=s.c.reshape(shape), h=s.h.reshape(shape)) for s in decoder_initial_state(params, summary)]
-
-
 def greedy_decode(params: ModelParams, summary: EncoderSummary, horizon: int | None = None) -> BeamHypothesis:
-    """Pick the argmax class at every step and feed it back. Decodes one
-    (1, cell) row, as the beam core does for a single vehicle, so beam width
-    1 reproduces it bit for bit."""
+    """Pick the argmax class at every step and feed it back. Decodes the
+    summary's one (1, cell) row, as the beam core does for a single vehicle,
+    so beam width 1 reproduces it bit for bit."""
     steps = params.config.horizon if horizon is None else horizon
-    state = _single_vehicle_rows(params, summary)
+    state = decoder_initial_state(params, summary)
     u = start_input(params, 1)
     seq: list[int] = []
     log_prob = 0.0
@@ -499,7 +490,9 @@ def beam_search_decode(
     """Keep the beam_width most probable hypotheses at every decode step for
     one vehicle: the batched beam core on a single row."""
     k, steps = _beam_args(params, beam_width, horizon)
-    rows = _single_vehicle_rows(params, summary)
+    rows = decoder_initial_state(params, summary)
+    if len(rows[0].c) != 1:
+        raise nn.ShapeError(f"beam_search_decode takes one vehicle's summary, got {len(rows[0].c)} rows")
     return _predictions(*_beam_rows(params, rows, k, steps, collect_probability_maps))[0]
 
 

@@ -73,7 +73,7 @@ def trained():
 
     def kalman_fn(inputs):
         seq = kalman.kf_forecast(inputs, kalman.CvModel(), MODEL_CFG.horizon, GRID)
-        return seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(seq, 0.0, [])])
+        return seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(seq, 0.0)])
 
     kalman_report = metrics.evaluate(kalman_fn, test_w, metrics.EvalConfig(omegas=(1,)), GRID)
     return {
@@ -202,12 +202,12 @@ def test_criterion_3_beam_exhaustive_oracle():
     scored = []
     for seq in product(range(1, 5), repeat=3):
         state = seq2seq.decoder_initial_state(params, summary)
-        u = seq2seq.start_input(params)
+        u = seq2seq.start_input(params, 1)
         lp = 0.0
         for q in seq:
             logits, state, _ = seq2seq.decode_core(params, state, u, False)
-            lp += float(nn.log_softmax(logits)[q - 1])
-            u = seq2seq.embed_tokens(params, np.asarray(q))
+            lp += float(nn.log_softmax(logits)[0, q - 1])
+            u = seq2seq.embed_tokens(params, np.array([q]))
         scored.append((list(seq), lp))
     scored.sort(key=lambda item: -item[1])
     elapsed = time.perf_counter() - t0

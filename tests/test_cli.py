@@ -63,6 +63,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_run_config(None, ["model.cell_dim=abc"])
 
+    def test_bad_seed_names_the_key(self, tmp_path, capsys):
+        path = str(tmp_path / "run.cfg")
+        with open(path, "w") as f:
+            f.write("seed = abc\n")
+        for args in (["--set", "seed=abc"], ["--config", path]):
+            assert main(["datagen", "--out", str(tmp_path / "x.jsonl")] + args) == 2
+            assert "error: config key seed: invalid literal" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x.jsonl")
+
     def test_section_validation_surfaces(self):
         with pytest.raises(ConfigError, match="maneuver mix"):
             load_run_config(None, ["data.p_lane_keep=0.9"])
@@ -304,6 +313,32 @@ class TestBadInput:
         assert rc == 2
         assert f"{data}:1: scenario 4 vehicle 9: frames must be rows of 6 features" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_predict_non_integer_id(self, workdir, tmp_path, capsys):
+        data = str(tmp_path / "ids.jsonl")
+        with open(data, "w") as f:
+            f.write(json.dumps({"scenario_id": 1, "vehicle_id": 0, "frames": [[0.0] * 6] * 10}) + "\n")
+            f.write(json.dumps({"scenario_id": "s1", "vehicle_id": 0, "frames": [[0.0] * 6] * 10}) + "\n")
+        out = str(tmp_path / "pred.jsonl")
+        rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", data, "--out", out])
+        assert rc == 2
+        assert f"{data}:2: field 'scenario_id' must be an integer, got 's1'" in capsys.readouterr().err
+        assert not any(name.startswith(("pred", ".predict-")) for name in os.listdir(tmp_path))
+
+    def test_train_leaves_no_metrics_file_when_the_write_fails(self, workdir, tmp_path, capsys):
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if str(dst).endswith(".metrics.csv"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        ckpt = str(tmp_path / "model.ckpt")
+        with mock.patch("os.replace", failing_replace):
+            rc = main(["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3"] + toy_args())
+        assert rc == 2
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
 
     @pytest.mark.parametrize("mode", [[], ["--greedy"]])
     def test_non_finite_logits_exit_2_without_output(self, workdir, tmp_path, capsys, mode):

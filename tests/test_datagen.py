@@ -191,6 +191,18 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="vehicle_id"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("scenario_id", "s1"), ("scenario_id", "3"), ("vehicle_id", 2.5), ("vehicle_id", True)]
+    )
+    def test_non_integer_id_names_line_and_field(self, tmp_path, key, value):
+        path = os.path.join(tmp_path, "data.jsonl")
+        obj = {"scenario_id": 0, "vehicle_id": 0, "frames": [[0.0] * 6]}
+        with open(path, "w") as f:
+            f.write(json.dumps(obj) + "\n")
+            f.write(json.dumps({**obj, key: value}) + "\n")
+        with pytest.raises(DatasetFormatError, match=rf"data\.jsonl:2: field '{key}' must be an integer"):
+            read_dataset(path)
+
     def test_malformed_line_numbered(self, tmp_path):
         path = os.path.join(tmp_path, "data.jsonl")
         with open(path, "w") as f:

@@ -20,7 +20,7 @@ def prediction(*sequences, log_probs=None):
     for k, seq in enumerate(sequences):
         flat = [flatten(GridCell(*c) if c is not None else GridCell(0, 0), GRID) for c in seq]
         lp = -float(k) if log_probs is None else log_probs[k]
-        hyps.append(BeamHypothesis(sequence=flat, log_prob=lp, state=[]))
+        hyps.append(BeamHypothesis(sequence=flat, log_prob=lp))
     return TrajectoryPrediction(hypotheses=hyps)
 
 

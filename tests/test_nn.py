@@ -63,42 +63,53 @@ class TestSoftmax:
         assert np.allclose(nn.log_softmax(logits), np.log(nn.softmax(logits)), atol=1e-12)
 
 
+def dense(p, u, activation):
+    out, _ = nn.dense_forward_cached(p, u, activation)
+    return out
+
+
 class TestDense:
     def test_identity_relu_clips(self):
         p = nn.DenseParams(weight=np.eye(2), bias=np.zeros(2))
-        assert np.array_equal(nn.dense_forward(p, np.array([-1.0, 2.0]), "relu"), [0.0, 2.0])
+        assert np.array_equal(dense(p, np.array([[-1.0, 2.0]]), "relu")[0], [0.0, 2.0])
 
     def test_zero_weight_returns_bias(self):
         p = nn.DenseParams(weight=np.zeros((3, 4)), bias=np.array([1.0, -2.0, 3.0]))
-        out = nn.dense_forward(p, np.ones(4), "none")
-        assert np.array_equal(out, [1.0, -2.0, 3.0])
+        out = dense(p, np.ones((1, 4)), "none")
+        assert np.array_equal(out[0], [1.0, -2.0, 3.0])
 
     def test_random_case_vs_hand_product(self):
         rng = np.random.default_rng(3)
         w = rng.standard_normal((3, 4))
         b = rng.standard_normal(3)
-        u = rng.standard_normal(4)
-        expected = np.array([sum(w[i, j] * u[j] for j in range(4)) + b[i] for i in range(3)])
-        out = nn.dense_forward(nn.DenseParams(w, b), u, "none")
-        assert np.allclose(out, expected, atol=1e-12)
+        u = rng.standard_normal((1, 4))
+        expected = np.array([sum(w[i, j] * u[0, j] for j in range(4)) + b[i] for i in range(3)])
+        out = dense(nn.DenseParams(w, b), u, "none")
+        assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         p = nn.DenseParams(weight=np.zeros((3, 4)), bias=np.zeros(3))
         with pytest.raises(nn.ShapeError):
-            nn.dense_forward(p, np.zeros(5))
+            dense(p, np.zeros((1, 5)), "relu")
+
+    def test_vector_input_rejected(self):
+        p = nn.DenseParams(weight=np.zeros((3, 4)), bias=np.zeros(3))
+        for u in (np.zeros(4), np.zeros((1, 1, 4))):
+            with pytest.raises(nn.ShapeError, match=r"\(rows, 4\)"):
+                nn.dense_forward_cached(p, u, "relu")
 
     def test_unknown_activation(self):
         p = nn.DenseParams(weight=np.eye(2), bias=np.zeros(2))
-        with pytest.raises(ValueError):
-            nn.dense_forward(p, np.zeros(2), "tanh")
+        with pytest.raises(ValueError, match="unknown activation"):
+            dense(p, np.zeros((1, 2)), "tanh")
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(4)
         p = nn.init_dense(rng, 3, 4)
         u = rng.standard_normal((5, 4))
-        batched = nn.dense_forward(p, u, "relu")
+        batched = dense(p, u, "relu")
         for k in range(5):
-            assert np.allclose(batched[k], nn.dense_forward(p, u[k], "relu"), atol=1e-12)
+            assert np.allclose(batched[k], dense(p, u[k : k + 1], "relu")[0], atol=1e-12)
 
 
 def reference_lstm_step(p: nn.LstmParams, u, c_prev, h_prev):
@@ -124,35 +135,35 @@ def reference_lstm_step(p: nn.LstmParams, u, c_prev, h_prev):
 class TestLstmForward:
     def test_zero_params_zero_state_fixed_point(self):
         p = nn.LstmParams(w_u=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
-        state, _ = nn.lstm_forward(p, np.array([5.0, -1.0, 2.0]), nn.LstmState.zeros(2))
-        assert np.array_equal(state.c, [0.0, 0.0])
-        assert np.array_equal(state.h, [0.0, 0.0])
+        state, _ = nn.lstm_forward(p, np.array([[5.0, -1.0, 2.0]]), nn.LstmState.zeros(1, 2))
+        assert np.array_equal(state.c[0], [0.0, 0.0])
+        assert np.array_equal(state.h[0], [0.0, 0.0])
 
     def test_zero_params_unit_cell(self):
         # gates 0.5 -> c = 0.5, h = 0.5 * tanh(0.5)
         p = nn.LstmParams(w_u=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
-        prev = nn.LstmState(c=np.ones(2), h=np.zeros(2))
-        state, _ = nn.lstm_forward(p, np.zeros(3), prev)
+        prev = nn.LstmState(c=np.ones((1, 2)), h=np.zeros((1, 2)))
+        state, _ = nn.lstm_forward(p, np.zeros((1, 3)), prev)
         assert np.allclose(state.c, 0.5, atol=1e-15)
         assert np.allclose(state.h, 0.5 * np.tanh(0.5), atol=1e-15)
-        assert state.h[0] == pytest.approx(0.231059, abs=1e-6)
+        assert state.h[0, 0] == pytest.approx(0.231059, abs=1e-6)
 
     def test_random_vs_scalar_loop_oracle(self):
         rng = np.random.default_rng(11)
         p = nn.init_lstm(rng, 4, 4)
         p.b[...] = rng.standard_normal(16) * 0.5
-        u = rng.standard_normal(4)
-        prev = nn.LstmState(c=rng.standard_normal(4), h=rng.standard_normal(4))
+        u = rng.standard_normal((1, 4))
+        prev = nn.LstmState(c=rng.standard_normal((1, 4)), h=rng.standard_normal((1, 4)))
         state, _ = nn.lstm_forward(p, u, prev)
-        c_ref, h_ref, f, i, o = reference_lstm_step(p, u, prev.c, prev.h)
-        assert np.allclose(state.c, c_ref, atol=1e-12)
-        assert np.allclose(state.h, h_ref, atol=1e-12)
+        c_ref, h_ref, f, i, o = reference_lstm_step(p, u[0], prev.c[0], prev.h[0])
+        assert np.allclose(state.c[0], c_ref, atol=1e-12)
+        assert np.allclose(state.h[0], h_ref, atol=1e-12)
 
     def test_gate_range_and_cell_bound(self):
         rng = np.random.default_rng(12)
         p = nn.init_lstm(rng, 6, 3)
-        prev = nn.LstmState(c=rng.standard_normal(6) * 3, h=rng.standard_normal(6))
-        state, tape = nn.lstm_forward(p, rng.standard_normal(3) * 5, prev)
+        prev = nn.LstmState(c=rng.standard_normal((1, 6)) * 3, h=rng.standard_normal((1, 6)))
+        state, tape = nn.lstm_forward(p, rng.standard_normal((1, 3)) * 5, prev)
         for gate in (tape.f, tape.i, tape.o):
             assert np.all(gate > 0) and np.all(gate < 1)
         assert np.all(np.abs(state.c) <= np.abs(prev.c) + 1.0 + 1e-12)
@@ -160,7 +171,23 @@ class TestLstmForward:
     def test_shape_mismatch(self):
         p = nn.LstmParams(w_u=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
         with pytest.raises(nn.ShapeError):
-            nn.lstm_forward(p, np.zeros(4), nn.LstmState.zeros(2))
+            nn.lstm_forward(p, np.zeros((1, 4)), nn.LstmState.zeros(1, 2))
+
+    def test_vector_input_rejected(self):
+        p = nn.LstmParams(w_u=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
+        with pytest.raises(nn.ShapeError, match=r"\(rows, 3\)"):
+            nn.lstm_forward(p, np.zeros(3), nn.LstmState(c=np.zeros(2), h=np.zeros(2)))
+
+    def test_state_rows_must_match_input_rows(self):
+        # a 1-row state would otherwise broadcast against a 4-row input
+        p = nn.LstmParams(w_u=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
+        for prev in (
+            nn.LstmState.zeros(1, 2),
+            nn.LstmState(c=np.zeros((4, 2)), h=np.zeros((1, 2))),
+            nn.LstmState(c=np.zeros(2), h=np.zeros((4, 2))),
+        ):
+            with pytest.raises(nn.ShapeError, match=r"\(4, 2\)"):
+                nn.lstm_forward(p, np.zeros((4, 3)), prev)
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(14)
@@ -174,15 +201,15 @@ class TestLstmForward:
 
 def lstm_chain_loss(p, inputs, target):
     """Forward a step chain and 0.5*||h_T - target||^2 with its gradient."""
-    state = nn.LstmState.zeros(p.cell_dim)
+    state = nn.LstmState.zeros(1, p.cell_dim)
     tapes = []
     for t in range(inputs.shape[0]):
-        state, tape = nn.lstm_forward(p, inputs[t], state)
+        state, tape = nn.lstm_forward(p, inputs[t : t + 1], state)
         tapes.append(tape)
     diff = state.h - target
-    value = 0.5 * float(diff @ diff)
+    value = 0.5 * float(np.vdot(diff, diff))
     total = {"w_u": np.zeros_like(p.w_u), "w_h": np.zeros_like(p.w_h), "b": np.zeros_like(p.b)}
-    dc, dh = np.zeros(p.cell_dim), diff
+    dc, dh = np.zeros((1, p.cell_dim)), diff
     for t in range(len(tapes) - 1, -1, -1):
         grads, grad_prev, _ = nn.lstm_backward(p, tapes[t], dc, dh)
         for k in total:
@@ -195,8 +222,8 @@ class TestLstmBackward:
     def test_zero_grad_in_zero_grad_out(self):
         rng = np.random.default_rng(20)
         p = nn.init_lstm(rng, 3, 2)
-        state, tape = nn.lstm_forward(p, rng.standard_normal(2), nn.LstmState.zeros(3))
-        grads, grad_prev, grad_u = nn.lstm_backward(p, tape, np.zeros(3), np.zeros(3))
+        state, tape = nn.lstm_forward(p, rng.standard_normal((1, 2)), nn.LstmState.zeros(1, 3))
+        grads, grad_prev, grad_u = nn.lstm_backward(p, tape, np.zeros((1, 3)), np.zeros((1, 3)))
         assert all(np.all(g == 0) for g in grads.values())
         assert np.all(grad_prev.c == 0) and np.all(grad_prev.h == 0)
         assert np.all(grad_u == 0)
@@ -204,10 +231,10 @@ class TestLstmBackward:
     def test_tape_reuse_rejected(self):
         rng = np.random.default_rng(21)
         p = nn.init_lstm(rng, 3, 2)
-        _, tape = nn.lstm_forward(p, rng.standard_normal(2), nn.LstmState.zeros(3))
-        nn.lstm_backward(p, tape, np.zeros(3), np.zeros(3))
+        _, tape = nn.lstm_forward(p, rng.standard_normal((1, 2)), nn.LstmState.zeros(1, 3))
+        nn.lstm_backward(p, tape, np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(RuntimeError):
-            nn.lstm_backward(p, tape, np.zeros(3), np.zeros(3))
+            nn.lstm_backward(p, tape, np.zeros((1, 3)), np.zeros((1, 3)))
 
     def test_single_step_scalar_vs_finite_difference(self):
         # scalar cell: every quantity is 1-d, the cleanest oracle case
@@ -265,12 +292,13 @@ class TestLstmBackward:
         grads, grad_prev, grad_u = nn.lstm_backward(p, tape, dc, dh)
         acc = {k: np.zeros_like(v) for k, v in grads.items()}
         for b in range(5):
-            sb, tb = nn.lstm_forward(p, u[b], nn.LstmState(c=prev.c[b], h=prev.h[b]))
-            gb, gp, gu = nn.lstm_backward(p, tb, dc[b], dh[b])
+            rows = slice(b, b + 1)
+            sb, tb = nn.lstm_forward(p, u[rows], nn.LstmState(c=prev.c[rows], h=prev.h[rows]))
+            gb, gp, gu = nn.lstm_backward(p, tb, dc[rows], dh[rows])
             for k in acc:
                 acc[k] += gb[k]
-            assert np.allclose(gp.c, grad_prev.c[b], atol=1e-12)
-            assert np.allclose(gu, grad_u[b], atol=1e-12)
+            assert np.allclose(gp.c[0], grad_prev.c[b], atol=1e-12)
+            assert np.allclose(gu[0], grad_u[b], atol=1e-12)
         for k in acc:
             assert np.allclose(acc[k], grads[k], atol=1e-12)
 
@@ -313,12 +341,12 @@ def test_property_forward_matches_scalar_oracle(cell, dim, seed):
     rng = np.random.default_rng(seed)
     p = nn.init_lstm(rng, cell, dim)
     p.b[...] = rng.standard_normal(4 * cell) * 0.3
-    u = rng.standard_normal(dim)
-    prev = nn.LstmState(c=rng.standard_normal(cell), h=rng.standard_normal(cell))
+    u = rng.standard_normal((1, dim))
+    prev = nn.LstmState(c=rng.standard_normal((1, cell)), h=rng.standard_normal((1, cell)))
     state, _ = nn.lstm_forward(p, u, prev)
-    c_ref, h_ref, *_ = reference_lstm_step(p, u, prev.c, prev.h)
-    assert np.allclose(state.c, c_ref, atol=1e-12)
-    assert np.allclose(state.h, h_ref, atol=1e-12)
+    c_ref, h_ref, *_ = reference_lstm_step(p, u[0], prev.c[0], prev.h[0])
+    assert np.allclose(state.c[0], c_ref, atol=1e-12)
+    assert np.allclose(state.h[0], h_ref, atol=1e-12)
 
 
 def _central_differences(f_value, x0, h=1e-5):
@@ -338,8 +366,8 @@ def _central_differences(f_value, x0, h=1e-5):
 def test_dense_backward_vs_finite_difference():
     rng = np.random.default_rng(50)
     p = nn.DenseParams(weight=rng.standard_normal((3, 4)) * 0.5, bias=rng.uniform(0.1, 0.5, 3))
-    u = rng.standard_normal(4)
-    target = rng.standard_normal(3)
+    u = rng.standard_normal((1, 4))
+    target = rng.standard_normal((1, 3))
 
     def f(vec):
         p.weight[...] = vec[:12].reshape(3, 4)
@@ -347,7 +375,7 @@ def test_dense_backward_vs_finite_difference():
         out, tape = nn.dense_forward_cached(p, u, "relu")
         diff = out - target
         grads, _ = nn.dense_backward(p, tape, diff)
-        return 0.5 * float(diff @ diff), np.concatenate([grads["weight"].ravel(), grads["bias"]])
+        return 0.5 * float(np.vdot(diff, diff)), np.concatenate([grads["weight"].ravel(), grads["bias"]])
 
     x0 = np.concatenate([p.weight.ravel(), p.bias])
     assert abs(f(x0)[0]) > 0  # sanity: not at the minimum

@@ -46,12 +46,12 @@ def replay_log_prob(params, summary, sequence):
     """Teacher-forced replay of a token sequence, accumulating that path's
     per-step log probabilities in decode order."""
     state = decoder_initial_state(params, summary)
-    u = seq2seq.start_input(params)
+    u = seq2seq.start_input(params, 1)
     log_prob = 0.0
     for q in sequence:
         logits, state, _ = seq2seq.decode_core(params, state, u, False)
-        log_prob += float(nn.log_softmax(logits)[q - 1])
-        u = seq2seq.embed_tokens(params, np.asarray(q))
+        log_prob += float(nn.log_softmax(logits)[0, q - 1])
+        u = seq2seq.embed_tokens(params, np.array([q]))
     return log_prob
 
 
@@ -115,17 +115,22 @@ class TestEncode:
         obs = rng.standard_normal((2, 6))
         summary = encode(params, obs)
 
-        states = [nn.LstmState.zeros(config.cell_dim) for _ in range(2)]
+        states = [nn.LstmState.zeros(1, config.cell_dim) for _ in range(2)]
         for t in range(2):
-            u = (obs[t] - params.feat_mean) / params.feat_std
+            u = (obs[t : t + 1] - params.feat_mean) / params.feat_std
             for fc in params.enc_fc:
-                u = nn.dense_forward(fc, u, "relu")
+                u, _ = nn.dense_forward_cached(fc, u, "relu")
             for k, cell in enumerate(params.enc_lstm):
                 states[k], _ = nn.lstm_forward(cell, u, states[k])
                 u = states[k].h
         for got, ref in zip(summary.states, states):
             assert np.array_equal(got.c, ref.c)
             assert np.array_equal(got.h, ref.h)
+
+    def test_summary_is_one_row(self):
+        config, params = tiny_model(obs_len=2, seed=3)
+        summary = encode(params, np.random.default_rng(5).standard_normal((2, 6)))
+        assert [(st.c.shape, st.h.shape) for st in summary.states] == [((1, 4), (1, 4))] * 2
 
     def test_order_sensitivity(self):
         config, params = tiny_model(obs_len=4, seed=9)
@@ -161,10 +166,10 @@ class TestDecodeStep:
 
     def test_out_of_map_selects_last_embedding_columns(self):
         config, params = tiny_model(seed=4)
-        u = seq2seq.embed_tokens(params, np.asarray(config.out_of_map_class))
+        u = seq2seq.embed_tokens(params, np.array([config.out_of_map_class]))
         half = config.embed_dim_per_axis
-        assert np.array_equal(u[:half], params.embed_w[:, config.grid.q_w])
-        assert np.array_equal(u[half:], params.embed_l[:, config.grid.q_l])
+        assert np.array_equal(u[0, :half], params.embed_w[:, config.grid.q_w])
+        assert np.array_equal(u[0, half:], params.embed_l[:, config.grid.q_l])
 
     def test_token_column_mapping(self):
         config, _ = tiny_model(q_w=4, q_l=3)
@@ -176,7 +181,7 @@ class TestDecodeStep:
     def test_invalid_token_rejected(self):
         config, params = tiny_model()
         with pytest.raises(ValueError):
-            seq2seq.embed_tokens(params, np.asarray(config.num_classes + 1))
+            seq2seq.embed_tokens(params, np.array([config.num_classes + 1]))
 
     def test_matches_recomposition_of_primitives(self):
         config, params = tiny_model(seed=6)
@@ -184,14 +189,14 @@ class TestDecodeStep:
         state = decoder_initial_state(params, summary)
         probs, _ = decode_step(params, state, 5)
 
-        u = np.concatenate([params.embed_w[:, (5 - 1) // config.grid.q_l], params.embed_l[:, (5 - 1) % config.grid.q_l]])
-        st = [s.copy() for s in state]
+        u = np.concatenate([params.embed_w[:, (5 - 1) // config.grid.q_l], params.embed_l[:, (5 - 1) % config.grid.q_l]])[None]
+        st = list(state)
         for k, cell in enumerate(params.dec_lstm):
             st[k], _ = nn.lstm_forward(cell, u, st[k])
             u = st[k].h
         for k, fc in enumerate(params.dec_fc):
-            u = nn.dense_forward(fc, u, "none" if k == len(params.dec_fc) - 1 else "relu")
-        assert np.array_equal(probs, nn.softmax(u))
+            u, _ = nn.dense_forward_cached(fc, u, "none" if k == len(params.dec_fc) - 1 else "relu")
+        assert np.array_equal(probs, nn.softmax(u)[0])
 
     def test_decoder_initial_state_copies_cells(self):
         config, params = tiny_model(seed=8)
@@ -298,6 +303,15 @@ class TestBeamSearch:
         state = decoder_initial_state(params, summary)
         probs, state = decode_step(params, state, config.out_of_map_class)
         assert abs(probs.sum() - 1.0) < 1e-9
+
+    def test_summary_of_several_vehicles_rejected(self):
+        # one vehicle per call: a batched summary is predict_scene's input
+        config, params = tiny_model(seed=17)
+        summary, _ = seq2seq.encode_core(params, np.zeros((2, 3, 6)), with_tapes=False)
+        with pytest.raises(nn.ShapeError, match="2 rows"):
+            beam_search_decode(params, summary)
+        with pytest.raises(nn.ShapeError):
+            greedy_decode(params, summary)
 
     def test_deterministic_across_runs(self):
         config, params = tiny_model(seed=16)
