@@ -286,6 +286,8 @@ def read_dataset(path: str) -> list[TrajectoryRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise DatasetFormatError(f"{path}:{lineno}: record must be a JSON object")
             for key in ("scenario_id", "vehicle_id", "frames"):
                 if key not in obj:
                     raise DatasetFormatError(f"{path}:{lineno}: missing field {key!r}")

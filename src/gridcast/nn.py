@@ -99,8 +99,10 @@ class DenseParams:
 @dataclass
 class DenseTape:
     u: np.ndarray
-    pre: np.ndarray  # pre-activation, kept only for relu masking
-    activation: str
+    # the relu output, whose positive entries are the backward mask (the
+    # same test as pre > 0, on an array the next layer's tape holds anyway);
+    # None for a linear layer
+    out: np.ndarray | None
 
 
 def _rows(u: np.ndarray, width: int, what: str) -> np.ndarray:
@@ -119,9 +121,11 @@ def dense_forward_cached(
     u = _rows(u, p.in_dim, "dense input")
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
-    pre = u @ p.weight.T + p.bias
-    out = relu(pre) if activation == "relu" else pre
-    return out, DenseTape(u=u, pre=pre, activation=activation)
+    out = u @ p.weight.T + p.bias
+    if activation == "none":
+        return out, DenseTape(u=u, out=None)
+    out = relu(out)
+    return out, DenseTape(u=u, out=out)
 
 
 def dense_backward(
@@ -129,8 +133,8 @@ def dense_backward(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradients of a cached dense call: ({"weight", "bias"}, grad wrt input)."""
     g = np.asarray(grad_out, dtype=np.float64)
-    if tape.activation == "relu":
-        g = g * (tape.pre > 0)
+    if tape.out is not None:
+        g = g * (tape.out > 0)
     grads = {"weight": g.T @ tape.u, "bias": g.sum(axis=0)}
     return grads, g @ p.weight
 

@@ -391,7 +391,7 @@ def greedy_decode(params: ModelParams, summary: EncoderSummary, horizon: int | N
     """Pick the argmax class at every step and feed it back. Decodes the
     summary's one (1, cell) row, as the beam core does for a single vehicle,
     so beam width 1 reproduces it bit for bit."""
-    steps = params.config.horizon if horizon is None else horizon
+    _, steps = _beam_args(params, 1, horizon)
     state = decoder_initial_state(params, summary)
     u = start_input(params, 1)
     seq: list[int] = []

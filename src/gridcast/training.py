@@ -16,7 +16,9 @@ LSTM stacks, the dense layers, and the embedding matrices.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +35,9 @@ from .seq2seq import (
     token_embed_columns,
 )
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
 __all__ = [
     "TrainConfig",
     "TrainingExample",
@@ -44,6 +49,7 @@ __all__ = [
     "adam_step",
     "clip_gradients",
     "lr_on_plateau",
+    "row_shards",
     "train",
     "TrainResult",
     "get_flat_params",
@@ -135,10 +141,17 @@ def _batch_arrays(examples: list[TrainingExample]) -> tuple[np.ndarray, np.ndarr
 
 
 def nll_loss(
-    params: ModelParams, examples: list[TrainingExample], with_grads: bool = True
+    params: ModelParams,
+    examples: list[TrainingExample],
+    with_grads: bool = True,
+    batch_rows: int | None = None,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Mean per-(example, step) NLL of the labels under teacher forcing,
-    with exact gradients for every trainable tensor."""
+    with exact gradients for every trainable tensor.
+
+    batch_rows, when given, is the example count to normalise by instead of
+    len(examples): the examples are then one shard of a batch of that many,
+    and the shards' losses and gradients add up to the batch's."""
     cfg = params.config
     inputs, labels = _batch_arrays(examples)
     batch, horizon = labels.shape
@@ -153,7 +166,7 @@ def nll_loss(
     dec_tapes = []
     log_probs = []  # per step, (B, Q) log-softmax
     loss_sum = 0.0
-    denom = batch * horizon
+    denom = (batch if batch_rows is None else batch_rows) * horizon
     for step in range(horizon):
         if step == 0:
             u = start_input(params, batch)
@@ -341,12 +354,57 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _dataset_nll(params: ModelParams, examples: list[TrainingExample], batch_size: int) -> float:
+def row_shards() -> int:
+    """How many row shards train() splits each batch into: 2 when numpy's
+    BLAS is pinned to one thread and this process may run on at least 2
+    CPUs, so the second shard takes the otherwise idle core; else 1, since
+    an unpinned BLAS already spreads each product over the cores.
+
+    The thread setting is read as the BLAS library reads it:
+    OPENBLAS_NUM_THREADS (MKL_NUM_THREADS in an MKL build), else
+    OMP_NUM_THREADS; the first one set to a positive integer decides."""
+    try:
+        mkl = "mkl" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError):  # numpy < 1.26 keeps no build record
+        mkl = False
+    names = ("MKL_NUM_THREADS" if mkl else "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    settings = [os.environ.get(name, "").strip() for name in names]
+    threads = next((int(v) for v in settings if v.isdigit() and int(v) > 0), None)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return 2 if threads == 1 and cpus >= 2 else 1
+
+
+def _batch_nll(
+    params: ModelParams, examples: list[TrainingExample], pool: Executor | None, with_grads: bool = True
+) -> tuple[float, dict[str, np.ndarray] | None]:
+    """nll_loss of one batch. Without a pool, on the whole batch. With one,
+    as two contiguous row shards, the second on the pool's worker and the
+    first on the calling thread; numpy releases the GIL inside its matrix
+    products and float ufuncs, so the two overlap. The split is fixed, so
+    the result does not depend on thread timing; it differs from the whole
+    batch's in summation order only."""
+    if pool is None or len(examples) < 2:
+        return nll_loss(params, examples, with_grads)
+    half = (len(examples) + 1) // 2
+    second = pool.submit(nll_loss, params, examples[half:], with_grads, len(examples))
+    try:
+        loss, grads = nll_loss(params, examples[:half], with_grads, len(examples))
+    finally:  # the worker's shard is finished (or has raised) before this returns
+        loss2, grads2 = second.result()
+    if grads is not None:
+        for name, g in grads.items():
+            g += grads2[name]
+    return loss + loss2, grads
+
+
+def _dataset_nll(
+    params: ModelParams, examples: list[TrainingExample], batch_size: int, pool: Executor | None
+) -> float:
     total = 0.0
     count = 0
     for s in range(0, len(examples), batch_size):
         chunk = examples[s : s + batch_size]
-        loss, _ = nll_loss(params, chunk, with_grads=False)
+        loss, _ = _batch_nll(params, chunk, pool, with_grads=False)
         total += loss * len(chunk)
         count += len(chunk)
     return total / count
@@ -364,7 +422,22 @@ def train(
     parameters and the per-epoch (epoch, train_nll, val_nll, lr) trace.
 
     on_epoch, when given, is called after every evaluation as
-    on_epoch(epoch, train_nll, val_nll, lr, params, is_best)."""
+    on_epoch(epoch, train_nll, val_nll, lr, params, is_best).
+
+    Batches run as row_shards() shards; with 2, one worker thread computes
+    the second shard of every batch and is joined before train returns or
+    raises."""
+    if row_shards() == 1:
+        return _train(config, train_set, val_set, tconfig, on_epoch, pool=None)
+    # imported here: the module costs about 1 MB of memory that commands
+    # which do not train need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gridcast-shard") as pool:
+        return _train(config, train_set, val_set, tconfig, on_epoch, pool)
+
+
+def _train(config, train_set, val_set, tconfig, on_epoch, pool) -> TrainResult:
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
     rng = np.random.default_rng(tconfig.seed)
@@ -379,8 +452,8 @@ def train(
     best_params = params.copy()
     evals_since_improvement = 0
 
-    train_nll0 = _dataset_nll(params, train_set, tconfig.batch_size)
-    val_nll = _dataset_nll(params, val_set, tconfig.batch_size)
+    train_nll0 = _dataset_nll(params, train_set, tconfig.batch_size, pool)
+    val_nll = _dataset_nll(params, val_set, tconfig.batch_size, pool)
     val_history.append(val_nll)
     trace.append((0, train_nll0, val_nll, lr))
     if val_nll < best_val:
@@ -397,7 +470,7 @@ def train(
         for s in range(0, len(order), tconfig.batch_size):
             batch = [train_set[i] for i in order[s : s + tconfig.batch_size]]
             try:
-                loss, grads = nll_loss(params, batch)
+                loss, grads = _batch_nll(params, batch, pool)
             except FloatingPointError as exc:
                 raise TrainingDiverged(str(exc), best_params, trace) from exc
             clip_gradients(grads, tconfig.grad_clip_norm)
@@ -405,7 +478,7 @@ def train(
             epoch_loss += loss * len(batch)
             seen += len(batch)
 
-        val_nll = _dataset_nll(params, val_set, tconfig.batch_size)
+        val_nll = _dataset_nll(params, val_set, tconfig.batch_size, pool)
         if not np.isfinite(val_nll):
             raise TrainingDiverged("non-finite validation loss", best_params, trace)
         val_history.append(val_nll)

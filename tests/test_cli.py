@@ -3,6 +3,7 @@ datagen -> train -> predict -> eval pipeline at toy scale, verify battery."""
 
 import json
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -175,6 +176,14 @@ class TestPipeline:
         assert lines[0] == "epoch,train_nll,val_nll,lr"
         assert len(lines) >= 3
 
+    @pytest.mark.parametrize("shards, layout", [(2, "2 row shards on 2 threads"), (1, "whole batches on the calling thread")])
+    def test_train_names_its_layout(self, workdir, tmp_path, capsys, monkeypatch, shards, layout):
+        monkeypatch.setattr(training, "row_shards", lambda: shards)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3"] + toy_args("train.max_epochs=1")) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("training on"))
+        assert re.match(r"^training on \d+ windows, validating on \d+ \((.*)\)$", line).group(1) == layout
+
     def test_predict_outputs_k_hypotheses(self, workdir, capsys):
         out = os.path.join(workdir["dir"], "hyp.jsonl")
         rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--out", out])
@@ -323,6 +332,25 @@ class TestBadInput:
         rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", data, "--out", out])
         assert rc == 2
         assert f"{data}:2: field 'scenario_id' must be an integer, got 's1'" in capsys.readouterr().err
+        assert not any(name.startswith(("pred", ".predict-")) for name in os.listdir(tmp_path))
+
+    def test_predict_non_object_record(self, workdir, tmp_path, capsys):
+        data = str(tmp_path / "five.jsonl")
+        with open(data, "w") as f:
+            f.write("5\n")
+        out = str(tmp_path / "pred.jsonl")
+        rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", data, "--out", out])
+        assert rc == 2
+        assert f"{data}:1: record must be a JSON object" in capsys.readouterr().err
+        assert not any(name.startswith(("pred", ".predict-")) for name in os.listdir(tmp_path))
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_predict_greedy_non_positive_horizon(self, workdir, tmp_path, capsys, horizon):
+        out = str(tmp_path / "pred.jsonl")
+        rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--out", out,
+                   "--greedy", "--horizon", horizon])
+        assert rc == 2
+        assert "beam width and horizon must be >= 1" in capsys.readouterr().err
         assert not any(name.startswith(("pred", ".predict-")) for name in os.listdir(tmp_path))
 
     def test_train_leaves_no_metrics_file_when_the_write_fails(self, workdir, tmp_path, capsys):

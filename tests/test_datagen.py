@@ -203,6 +203,15 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match=rf"data\.jsonl:2: field '{key}' must be an integer"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+    def test_non_object_line_names_it(self, tmp_path, line):
+        path = os.path.join(tmp_path, "data.jsonl")
+        with open(path, "w") as f:
+            f.write(json.dumps({"scenario_id": 0, "vehicle_id": 0, "frames": [[0.0] * 6]}) + "\n")
+            f.write(line + "\n")
+        with pytest.raises(DatasetFormatError, match=r"data\.jsonl:2: record must be a JSON object"):
+            read_dataset(path)
+
     def test_malformed_line_numbered(self, tmp_path):
         path = os.path.join(tmp_path, "data.jsonl")
         with open(path, "w") as f:

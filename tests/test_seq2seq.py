@@ -227,6 +227,14 @@ class TestBeamSearch:
             assert g.sequence == b.sequence
             assert g.log_prob == b.log_prob  # bit-identical
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_non_positive_horizon_rejected(self, horizon):
+        config, params = tiny_model(obs_len=2)
+        summary = encode(params, np.zeros((2, 6)))
+        for decode in (greedy_decode, beam_search_decode):
+            with pytest.raises(ValueError, match="beam width and horizon must be >= 1"):
+                decode(params, summary, horizon=horizon)
+
     def test_constant_distribution_hand_example(self):
         # constant logits ln(0.6, 0.3, 0.1): P(1,1)=0.36 top; (1,2) and (2,1)
         # tie at 0.18 and the lower final class id must win

@@ -1,8 +1,13 @@
 """Training: NLL values against hand-derived anchors, Adam against its
 closed-form first step and a quadratic bowl, plateau schedule, window
-cropping, gradient clipping, reproducibility, full-model gradient check."""
+cropping, gradient clipping, reproducibility, full-model gradient check,
+and batches run as two row shards on two threads."""
 
+import concurrent.futures
 import math
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from gridcast import ogm, seq2seq, training
 from gridcast.training import (
     AdamState,
     TrainConfig,
+    TrainingDiverged,
     TrainingExample,
     adam_step,
     clip_gradients,
@@ -360,3 +366,155 @@ class TestNormalizer:
         examples = [TrainingExample(inputs=np.ones((3, 6)), labels=np.ones(3, dtype=int))]
         fit_normalizer(params, examples)
         assert np.all(params.feat_std >= 1e-8)
+
+
+class InlineExecutor:
+    """A one-worker pool stand-in that runs each submitted call at once on
+    the calling thread."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def assert_bitwise_equal(a, b):
+    (loss_a, grads_a), (loss_b, grads_b) = a, b
+    assert loss_a == loss_b
+    assert grads_a.keys() == grads_b.keys()
+    for name in grads_a:
+        assert np.array_equal(grads_a[name], grads_b[name]), name
+
+
+def recording_nll(monkeypatch):
+    """Patch training.nll_loss to log (thread name, shard rows) per call."""
+    calls = []
+    real = training.nll_loss
+
+    def wrapped(params, examples, *args):
+        calls.append((threading.current_thread().name, len(examples)))
+        return real(params, examples, *args)
+
+    monkeypatch.setattr(training, "nll_loss", wrapped)
+    return calls
+
+
+class TestRowShards:
+    """A batch split into two row shards, the second on one worker thread."""
+
+    @pytest.mark.parametrize(
+        "env, cpus, expected",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+            ({"OMP_NUM_THREADS": "1"}, 4, 2),
+            ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+            ({}, 2, 1),
+        ],
+    )
+    def test_rule_reads_blas_threads_and_cpus(self, monkeypatch, env, cpus, expected):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert training.row_shards() == expected
+
+    @pytest.mark.parametrize("with_grads", [True, False])
+    def test_threaded_equals_inline_bitwise(self, with_grads):
+        config, params, examples = tiny_setup(n_examples=9, seed=4)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            threaded = training._batch_nll(params, examples, pool, with_grads)
+        inline = training._batch_nll(params, examples, InlineExecutor(), with_grads)
+        if with_grads:
+            assert_bitwise_equal(threaded, inline)
+        else:
+            assert threaded == inline
+
+    def test_two_shards_match_whole_batch(self):
+        config, params, examples = tiny_setup(n_examples=8, seed=6)
+        whole_loss, whole_grads = nll_loss(params, examples)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            loss, grads = training._batch_nll(params, examples, pool)
+            forward_only, _ = training._batch_nll(params, examples, pool, with_grads=False)
+        assert abs(loss - whole_loss) <= 1e-12 * abs(whole_loss)
+        assert abs(forward_only - whole_loss) <= 1e-12 * abs(whole_loss)
+        for name, g in whole_grads.items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+    def test_odd_batch_splits_into_two_nonempty_shards(self, monkeypatch):
+        config, params, examples = tiny_setup(n_examples=5, seed=2)
+        whole = nll_loss(params, examples)
+        calls = recording_nll(monkeypatch)
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="shard-test") as pool:
+            loss, grads = training._batch_nll(params, examples, pool)
+        assert sorted(calls) == [("MainThread", 3), ("shard-test_0", 2)]
+        assert loss == pytest.approx(whole[0], rel=1e-12)
+
+    def test_one_row_batch_is_not_split(self, monkeypatch):
+        config, params, examples = tiny_setup(n_examples=1, seed=2)
+        whole = nll_loss(params, examples)
+        calls = recording_nll(monkeypatch)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            result = training._batch_nll(params, examples, pool)
+        assert calls == [("MainThread", 1)]
+        assert_bitwise_equal(result, whole)
+
+    def test_train_threaded_equals_inline_bitwise(self, monkeypatch):
+        config, examples = TestTrainLoop().small_dataset()
+        tcfg = TrainConfig(batch_size=8, max_epochs=2, seed=11)
+        monkeypatch.setattr(training, "row_shards", lambda: 2)
+        threads_before = threading.active_count()
+        calls = recording_nll(monkeypatch)
+        threaded = train(config, examples, examples[:7], tcfg)
+        assert threading.active_count() == threads_before
+        workers = {name for name, _ in calls} - {"MainThread"}
+        assert len(workers) == 1  # one worker thread took every second shard
+        assert {rows for _, rows in calls} == {4, 3}  # batches of 8 and 7 rows
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        inline = train(config, examples, examples[:7], tcfg)
+        assert threaded.trace == inline.trace
+        assert threaded.best_val_nll == inline.best_val_nll
+        for (_, a), (_, b) in zip(threaded.params.checkpoint_items(), inline.params.checkpoint_items()):
+            assert np.array_equal(a, b)
+
+    def test_non_finite_loss_in_worker_shard_diverges(self, monkeypatch):
+        config, examples = TestTrainLoop().small_dataset()
+        tcfg = TrainConfig(batch_size=8, max_epochs=2, seed=11)
+        monkeypatch.setattr(training, "row_shards", lambda: 2)
+        real = training.nll_loss
+        poisoned = []
+
+        def nan_in_worker(params, examples, with_grads=True, batch_rows=None):
+            if with_grads and threading.current_thread() is not threading.main_thread():
+                poisoned.append(len(examples))
+                examples = [TrainingExample(inputs=np.full_like(ex.inputs, np.nan), labels=ex.labels) for ex in examples]
+            return real(params, examples, with_grads, batch_rows)
+
+        monkeypatch.setattr(training, "nll_loss", nan_in_worker)
+        threads_before = threading.active_count()
+        with pytest.raises(TrainingDiverged, match="non-finite") as info:
+            train(config, examples, examples[:8], tcfg)
+        assert threading.active_count() == threads_before
+        assert poisoned == [4]  # the worker's shard of the first batch
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        # the epoch-0 parameters, the only ones validated, are handed back
+        monkeypatch.setattr(training, "nll_loss", real)
+        start = train(config, examples, examples[:8], replace(tcfg, max_epochs=0))
+        assert info.value.best_params is not None
+        for (_, a), (_, b) in zip(info.value.best_params.checkpoint_items(), start.params.checkpoint_items()):
+            assert np.array_equal(a, b)
