@@ -243,8 +243,7 @@ def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int 
             target_val_nll=0.1,
         )
         print(f"overfit mode: {len(train_windows)} windows, stop at per-step NLL 0.1")
-    layout = "2 row shards on 2 threads" if training.row_shards() == 2 else "whole batches on the calling thread"
-    print(f"training on {len(train_windows)} windows, validating on {len(val_windows)} ({layout})")
+    print(f"training on {len(train_windows)} windows, validating on {len(val_windows)} ({training.layout()})")
 
     metrics_path = out_checkpoint + ".metrics.csv"
 

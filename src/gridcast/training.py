@@ -16,9 +16,12 @@ LSTM stacks, the dense layers, and the embedding matrices.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -50,6 +53,7 @@ __all__ = [
     "clip_gradients",
     "lr_on_plateau",
     "row_shards",
+    "layout",
     "train",
     "TrainResult",
     "get_flat_params",
@@ -354,43 +358,162 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def row_shards() -> int:
-    """How many row shards train() splits each batch into: 2 when numpy's
-    BLAS is pinned to one thread and this process may run on at least 2
-    CPUs, so the second shard takes the otherwise idle core; else 1, since
-    an unpinned BLAS already spreads each product over the cores.
-
-    The thread setting is read as the BLAS library reads it:
-    OPENBLAS_NUM_THREADS (MKL_NUM_THREADS in an MKL build), else
-    OMP_NUM_THREADS; the first one set to a positive integer decides."""
+def _blas_threads() -> int | None:
+    """The BLAS thread count the environment sets, in the order OpenBLAS
+    reads it (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS; an
+    MKL build reads MKL_NUM_THREADS, then OMP_NUM_THREADS): the first one
+    set to a positive integer, or None."""
     try:
         mkl = "mkl" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
     except (AttributeError, KeyError):  # numpy < 1.26 keeps no build record
         mkl = False
-    names = ("MKL_NUM_THREADS" if mkl else "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    settings = [os.environ.get(name, "").strip() for name in names]
-    threads = next((int(v) for v in settings if v.isdigit() and int(v) > 0), None)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return 2 if threads == 1 and cpus >= 2 else 1
+    names = ("MKL_NUM_THREADS",) if mkl else ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS")
+    settings = [os.environ.get(name, "").strip() for name in (*names, "OMP_NUM_THREADS")]
+    return next((int(v) for v in settings if v.isdigit() and int(v) > 0), None)
+
+
+# BLAS read its thread count when numpy loaded (imported above), so the
+# setting is read once, here: a later change to the environment, or a pin
+# made through threadpoolctl, is not seen.
+_BLAS_PINNED = _blas_threads() == 1
+
+
+def _cpu_quota(root: str = "/sys/fs/cgroup") -> float:
+    """CPUs' worth of time the cgroup CPU quota allows (cgroup v2 cpu.max,
+    else v1 cpu.cfs_quota_us over cpu.cfs_period_us); inf when there is no
+    quota or it cannot be read."""
+    try:
+        with open(os.path.join(root, "cpu.max")) as f:
+            quota, period = f.read().split()
+    except (OSError, ValueError):
+        try:
+            with open(os.path.join(root, "cpu", "cpu.cfs_quota_us")) as f:
+                quota = f.read().strip()
+            with open(os.path.join(root, "cpu", "cpu.cfs_period_us")) as f:
+                period = f.read().strip()
+        except OSError:
+            return math.inf
+    try:
+        return int(quota) / int(period) if int(quota) > 0 and int(period) > 0 else math.inf
+    except ValueError:  # "max"
+        return math.inf
+
+
+def _cpu_set() -> set[int]:
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set(range(os.cpu_count() or 1))
+
+
+def row_shards() -> int:
+    """How many row shards train() splits each batch into: 2 when numpy's
+    BLAS is pinned to one thread and this process may use at least 2 CPUs
+    (its affinity mask and cgroup CPU quota); else 1, since an unpinned BLAS
+    already spreads each product over the cores. The answer depends on the
+    process's settings only, not on the machine's load, so it fixes the
+    numbers a run computes."""
+    return 2 if _BLAS_PINNED and min(len(_cpu_set()), _cpu_quota()) >= 2 else 1
+
+
+def layout() -> str:
+    """How train() runs its batches, in words, as `gridcast train` prints it."""
+    if row_shards() == 1:
+        return "whole batches on the calling thread"
+    return "2 row shards, the second on a worker thread while a second CPU is free"
+
+
+def _cpu_sample(cpus: set[int]) -> tuple[float, float, float] | None:
+    """(wall clock, this process's CPU time, busy time of the given CPUs),
+    all in seconds; None where /proc/stat cannot be read. Busy time is what
+    processes ran (user, nice, system, irq, softirq). It leaves out time a
+    hypervisor stole: that slows every CPU of a virtual machine alike, so a
+    second thread still gains."""
+    try:
+        with open("/proc/stat") as f:
+            lines = f.readlines()
+    except OSError:
+        return None
+    busy = 0
+    for line in lines:
+        name, _, ticks = line.partition(" ")
+        if name.startswith("cpu") and name[3:].isdigit() and int(name[3:]) in cpus:
+            # user nice system idle iowait irq softirq steal
+            t = [int(x) for x in ticks.split()[:8]]
+            busy += t[0] + t[1] + t[2] + t[5] + t[6]
+    return time.perf_counter(), time.process_time(), busy / os.sysconf("SC_CLK_TCK")
+
+
+class _RowShards:
+    """Runs a batch's two row shards. The first runs on the calling thread.
+    The second runs on the pool's one worker at the same time while another
+    CPU is free, and after the first otherwise; the numbers are the same
+    either way. numpy releases the GIL inside its matrix products and float
+    ufuncs, so threaded shards overlap.
+
+    "Free" is measured, not assumed: over the last batch (at least 0.1 s of
+    wall time), the process's CPUs less the CPU time other processes took
+    on them must leave 1.5 CPUs. So several pinned processes sharing the
+    cores each compute their shards one after the other instead of adding a
+    thread apiece. Without /proc/stat the worker is always used."""
+
+    def __init__(self, pool: Executor, cpus: set[int], sample):
+        self.pool = pool
+        self.cpus = cpus
+        self.sample = sample
+        self.mark = sample(cpus)
+        self.threaded = True
+
+    def _spare_cpu(self) -> bool:
+        now = self.sample(self.cpus)
+        if now is None or self.mark is None:
+            return True
+        wall, own, busy = (a - b for a, b in zip(now, self.mark))
+        if wall >= 0.1:
+            self.threaded = len(self.cpus) - (busy - own) / wall >= 1.5
+            self.mark = now
+        return self.threaded
+
+    def run(self, fn, first, second):
+        """(fn(first), fn(second)); fn(second) has finished, or raised,
+        before this returns or raises."""
+        if not self._spare_cpu():
+            return fn(first), fn(second)
+        future = self.pool.submit(fn, second)
+        try:
+            a = fn(first)
+        finally:
+            b = future.result()
+        return a, b
+
+
+@contextlib.contextmanager
+def _row_shards() -> Iterator[_RowShards | None]:
+    """A _RowShards for train() when row_shards() is 2, else None. Its worker
+    thread is joined when the block exits, normally or by an exception."""
+    if row_shards() == 1:
+        yield None
+        return
+    # imported here: the module costs about 1 MB of memory that commands
+    # which do not train need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gridcast-shard") as pool:
+        yield _RowShards(pool, _cpu_set(), _cpu_sample)
 
 
 def _batch_nll(
-    params: ModelParams, examples: list[TrainingExample], pool: Executor | None, with_grads: bool = True
+    params: ModelParams, examples: list[TrainingExample], shards: _RowShards | None, with_grads: bool = True
 ) -> tuple[float, dict[str, np.ndarray] | None]:
-    """nll_loss of one batch. Without a pool, on the whole batch. With one,
-    as two contiguous row shards, the second on the pool's worker and the
-    first on the calling thread; numpy releases the GIL inside its matrix
-    products and float ufuncs, so the two overlap. The split is fixed, so
-    the result does not depend on thread timing; it differs from the whole
-    batch's in summation order only."""
-    if pool is None or len(examples) < 2:
+    """nll_loss of one batch: on the whole batch without shards, else as two
+    contiguous row shards, each normalised by the whole batch's rows. The
+    split is fixed, so the result does not depend on where or when the
+    shards ran; it differs from the whole batch's in summation order only."""
+    if shards is None or len(examples) < 2:
         return nll_loss(params, examples, with_grads)
     half = (len(examples) + 1) // 2
-    second = pool.submit(nll_loss, params, examples[half:], with_grads, len(examples))
-    try:
-        loss, grads = nll_loss(params, examples[:half], with_grads, len(examples))
-    finally:  # the worker's shard is finished (or has raised) before this returns
-        loss2, grads2 = second.result()
+    (loss, grads), (loss2, grads2) = shards.run(
+        lambda part: nll_loss(params, part, with_grads, len(examples)), examples[:half], examples[half:]
+    )
     if grads is not None:
         for name, g in grads.items():
             g += grads2[name]
@@ -398,13 +521,13 @@ def _batch_nll(
 
 
 def _dataset_nll(
-    params: ModelParams, examples: list[TrainingExample], batch_size: int, pool: Executor | None
+    params: ModelParams, examples: list[TrainingExample], batch_size: int, shards: _RowShards | None
 ) -> float:
     total = 0.0
     count = 0
     for s in range(0, len(examples), batch_size):
         chunk = examples[s : s + batch_size]
-        loss, _ = _batch_nll(params, chunk, pool, with_grads=False)
+        loss, _ = _batch_nll(params, chunk, shards, with_grads=False)
         total += loss * len(chunk)
         count += len(chunk)
     return total / count
@@ -424,86 +547,75 @@ def train(
     on_epoch, when given, is called after every evaluation as
     on_epoch(epoch, train_nll, val_nll, lr, params, is_best).
 
-    Batches run as row_shards() shards; with 2, one worker thread computes
-    the second shard of every batch and is joined before train returns or
-    raises."""
-    if row_shards() == 1:
-        return _train(config, train_set, val_set, tconfig, on_epoch, pool=None)
-    # imported here: the module costs about 1 MB of memory that commands
-    # which do not train need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gridcast-shard") as pool:
-        return _train(config, train_set, val_set, tconfig, on_epoch, pool)
-
-
-def _train(config, train_set, val_set, tconfig, on_epoch, pool) -> TrainResult:
+    Batches run as row_shards() shards (see layout()); any worker thread is
+    joined before train returns or raises."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
-    rng = np.random.default_rng(tconfig.seed)
-    params = init_model_params(config, rng)
-    fit_normalizer(params, train_set)
-    adam = AdamState.for_params(params)
-    lr = tconfig.lr0
+    with _row_shards() as shards:
+        rng = np.random.default_rng(tconfig.seed)
+        params = init_model_params(config, rng)
+        fit_normalizer(params, train_set)
+        adam = AdamState.for_params(params)
+        lr = tconfig.lr0
 
-    val_history: list[float] = []
-    trace: list[tuple[int, float, float, float]] = []
-    best_val = np.inf
-    best_params = params.copy()
-    evals_since_improvement = 0
-
-    train_nll0 = _dataset_nll(params, train_set, tconfig.batch_size, pool)
-    val_nll = _dataset_nll(params, val_set, tconfig.batch_size, pool)
-    val_history.append(val_nll)
-    trace.append((0, train_nll0, val_nll, lr))
-    if val_nll < best_val:
-        best_val = val_nll
+        val_history: list[float] = []
+        trace: list[tuple[int, float, float, float]] = []
+        best_val = np.inf
         best_params = params.copy()
-    if on_epoch is not None:
-        on_epoch(0, train_nll0, val_nll, lr, params, True)
+        evals_since_improvement = 0
 
-    stop_reason = "max_epochs"
-    for epoch in range(1, tconfig.max_epochs + 1):
-        order = rng.permutation(len(train_set))
-        epoch_loss = 0.0
-        seen = 0
-        for s in range(0, len(order), tconfig.batch_size):
-            batch = [train_set[i] for i in order[s : s + tconfig.batch_size]]
-            try:
-                loss, grads = _batch_nll(params, batch, pool)
-            except FloatingPointError as exc:
-                raise TrainingDiverged(str(exc), best_params, trace) from exc
-            clip_gradients(grads, tconfig.grad_clip_norm)
-            adam_step(adam, params, grads, lr, tconfig.adam_beta1, tconfig.adam_beta2, tconfig.adam_eps)
-            epoch_loss += loss * len(batch)
-            seen += len(batch)
-
-        val_nll = _dataset_nll(params, val_set, tconfig.batch_size, pool)
-        if not np.isfinite(val_nll):
-            raise TrainingDiverged("non-finite validation loss", best_params, trace)
+        train_nll0 = _dataset_nll(params, train_set, tconfig.batch_size, shards)
+        val_nll = _dataset_nll(params, val_set, tconfig.batch_size, shards)
         val_history.append(val_nll)
-        trace.append((epoch, epoch_loss / seen, val_nll, lr))
-
-        is_best = val_nll < best_val
-        if is_best:
+        trace.append((0, train_nll0, val_nll, lr))
+        if val_nll < best_val:
+            best_val = val_nll
             best_params = params.copy()
-        if val_nll < best_val * (1.0 - tconfig.plateau_min_delta):
-            evals_since_improvement = 0
-        else:
-            evals_since_improvement += 1
-        best_val = min(best_val, val_nll)
         if on_epoch is not None:
-            on_epoch(epoch, epoch_loss / seen, val_nll, lr, params, is_best)
+            on_epoch(0, train_nll0, val_nll, lr, params, True)
 
-        lr = lr_on_plateau(val_history, lr, tconfig)
-        if tconfig.target_val_nll is not None and val_nll <= tconfig.target_val_nll:
-            stop_reason = "target_reached"
-            break
-        if evals_since_improvement >= tconfig.early_stop_patience:
-            stop_reason = "early_stop"
-            break
+        stop_reason = "max_epochs"
+        for epoch in range(1, tconfig.max_epochs + 1):
+            order = rng.permutation(len(train_set))
+            epoch_loss = 0.0
+            seen = 0
+            for s in range(0, len(order), tconfig.batch_size):
+                batch = [train_set[i] for i in order[s : s + tconfig.batch_size]]
+                try:
+                    loss, grads = _batch_nll(params, batch, shards)
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(str(exc), best_params, trace) from exc
+                clip_gradients(grads, tconfig.grad_clip_norm)
+                adam_step(adam, params, grads, lr, tconfig.adam_beta1, tconfig.adam_beta2, tconfig.adam_eps)
+                epoch_loss += loss * len(batch)
+                seen += len(batch)
 
-    return TrainResult(params=best_params, trace=trace, best_val_nll=best_val, stop_reason=stop_reason)
+            val_nll = _dataset_nll(params, val_set, tconfig.batch_size, shards)
+            if not np.isfinite(val_nll):
+                raise TrainingDiverged("non-finite validation loss", best_params, trace)
+            val_history.append(val_nll)
+            trace.append((epoch, epoch_loss / seen, val_nll, lr))
+
+            is_best = val_nll < best_val
+            if is_best:
+                best_params = params.copy()
+            if val_nll < best_val * (1.0 - tconfig.plateau_min_delta):
+                evals_since_improvement = 0
+            else:
+                evals_since_improvement += 1
+            best_val = min(best_val, val_nll)
+            if on_epoch is not None:
+                on_epoch(epoch, epoch_loss / seen, val_nll, lr, params, is_best)
+
+            lr = lr_on_plateau(val_history, lr, tconfig)
+            if tconfig.target_val_nll is not None and val_nll <= tconfig.target_val_nll:
+                stop_reason = "target_reached"
+                break
+            if evals_since_improvement >= tconfig.early_stop_patience:
+                stop_reason = "early_stop"
+                break
+
+        return TrainResult(params=best_params, trace=trace, best_val_nll=best_val, stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------

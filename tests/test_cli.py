@@ -176,7 +176,13 @@ class TestPipeline:
         assert lines[0] == "epoch,train_nll,val_nll,lr"
         assert len(lines) >= 3
 
-    @pytest.mark.parametrize("shards, layout", [(2, "2 row shards on 2 threads"), (1, "whole batches on the calling thread")])
+    @pytest.mark.parametrize(
+        "shards, layout",
+        [
+            (2, "2 row shards, the second on a worker thread while a second CPU is free"),
+            (1, "whole batches on the calling thread"),
+        ],
+    )
     def test_train_names_its_layout(self, workdir, tmp_path, capsys, monkeypatch, shards, layout):
         monkeypatch.setattr(training, "row_shards", lambda: shards)
         ckpt = str(tmp_path / "model.ckpt")
