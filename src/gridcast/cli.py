@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -261,7 +262,8 @@ def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int 
             print(f"last good checkpoint kept at {out_checkpoint}", file=sys.stderr)
         return 3
     seq2seq.save_checkpoint(result.params, out_checkpoint)
-    seq2seq.write_atomic(metrics_path, result.trace_csv().encode("utf-8"), prefix=".metrics-")
+    with seq2seq.write_atomic(metrics_path, prefix=".metrics-") as f:
+        f.write(result.trace_csv().encode("utf-8"))
     print(
         f"done ({result.stop_reason}): best val NLL {result.best_val_nll:.4f}; "
         f"checkpoint {out_checkpoint}, metrics {metrics_path}"
@@ -307,9 +309,24 @@ def cmd_predict(
             ],
         }
         lines.append(json.dumps(obj) + "\n")
-    seq2seq.write_atomic(out_path, "".join(lines).encode("utf-8"), prefix=".predict-")
+    with seq2seq.write_atomic(out_path, prefix=".predict-") as f:
+        f.write("".join(lines).encode("utf-8"))
     print(f"wrote predictions for {len(records)} vehicles to {out_path}")
     return 0
+
+
+class _Stages:
+    """Wall seconds per named stage; each lap ends the stage begun by the
+    previous one."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self._start = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.seconds[name] = now - self._start
+        self._start = now
 
 
 def cmd_eval(
@@ -319,6 +336,7 @@ def cmd_eval(
     use_kalman: bool,
     series_path: str | None,
 ) -> int:
+    stages = _Stages()
     records = datagen.read_dataset(data_path)
     manifest = datagen.read_manifest(data_path)
     test_records = _split_records(records, manifest)["test"]
@@ -336,29 +354,44 @@ def cmd_eval(
                 f"eval omega {max(eval_cfg.omegas)} exceeds beam width {model_cfg.beam_width}"
             )
         label = f"encoder-decoder checkpoint {checkpoint_path} (K={model_cfg.beam_width})"
+    stages.lap("read")
 
     grid = model_cfg.grid
-    test_windows, _ = training.crop_windows(test_records, model_cfg.obs_len, model_cfg.horizon, grid)
+    test_windows, too_short = training.crop_windows(test_records, model_cfg.obs_len, model_cfg.horizon, grid)
     if not test_windows:
         print("error: no usable test windows in the dataset's test split", file=sys.stderr)
         return 2
     inputs = [w.inputs for w in test_windows]
+    stages.lap("crop")
     if use_kalman:
-        predictions = [
-            seq2seq.TrajectoryPrediction(
-                hypotheses=[seq2seq.BeamHypothesis(kalman.kf_forecast(x, cfg.kalman, model_cfg.horizon, grid), 0.0)]
-            )
-            for x in inputs
-        ]
+        predictions = []
+        for lo in range(0, len(inputs), seq2seq.DECODE_CHUNK):
+            rows = np.stack(inputs[lo : lo + seq2seq.DECODE_CHUNK])
+            classes = kalman.kf_forecast_rows(rows, cfg.kalman, model_cfg.horizon, grid)
+            predictions += [seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(q, 0.0)]) for q in classes.tolist()]
+        stages.lap("forecast")
     else:
         predictions = seq2seq.predict_scene(params, inputs)
+        stages.lap("decode")
     report = metrics.score_predictions(predictions, [w.labels for w in test_windows], eval_cfg, grid, label=label)
+    stages.lap("score")
     text, series = metrics.render_report(report)
     print(text, end="")
     if series_path is None:
         series_path = data_path + ".series.csv"
-    seq2seq.write_atomic(series_path, series.encode("utf-8"), prefix=".series-")
+    with seq2seq.write_atomic(series_path, prefix=".series-") as f:
+        f.write(series.encode("utf-8"))
     print(f"series written to {series_path}")
+    stages.lap("write")
+    total = sum(stages.seconds.values())
+    telemetry = {
+        "command": "eval",
+        "stage_s": {name: round(sec, 6) for name, sec in stages.seconds.items()},
+        "windows": len(test_windows),
+        "windows_per_s": round(len(test_windows) / total, 3),
+        "records_too_short": too_short,
+    }
+    print(json.dumps(telemetry), file=sys.stderr)
     return 0
 
 

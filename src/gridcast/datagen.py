@@ -23,6 +23,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .seq2seq import write_atomic
+
 __all__ = [
     "ScenarioConfig",
     "TrajectoryRecord",
@@ -266,14 +268,15 @@ def generate_dataset(config: ScenarioConfig, n_scenarios: int | None = None):
 
 
 def write_dataset(records: list[TrajectoryRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """Stream the records into path, atomically (temp file + rename)."""
+    with write_atomic(path, prefix=".dataset-") as f:
         for rec in records:
             obj = {
                 "scenario_id": rec.scenario_id,
                 "vehicle_id": rec.vehicle_id,
                 "frames": [[float(v) for v in row] for row in rec.frames],
             }
-            f.write(json.dumps(obj) + "\n")
+            f.write((json.dumps(obj) + "\n").encode("utf-8"))
 
 
 def read_dataset(path: str) -> list[TrajectoryRecord]:
@@ -314,9 +317,8 @@ def manifest_path(dataset_path: str) -> str:
 
 
 def write_manifest(manifest: dict, dataset_path: str) -> None:
-    with open(manifest_path(dataset_path), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with write_atomic(manifest_path(dataset_path), prefix=".manifest-") as f:
+        f.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_manifest(dataset_path: str) -> dict:

@@ -5,17 +5,33 @@ State is (x, y, vx, vy) in the ego-relative frame; the sensor provides all
 four components, so the measurement map is the identity. The filter runs
 predict+update over the observation window, then extrapolates by pure
 prediction, quantizing the mean position onto the grid every 0.2 s.
+
+The covariance and gain recursion never reads a measurement, so all windows
+of one length share one gain schedule; only the means differ, and they are
+filtered together as (N, 4) rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ogm
 
-__all__ = ["KalmanState", "CvModel", "kf_init", "kf_predict", "kf_update", "kf_forecast"]
+__all__ = [
+    "KalmanState",
+    "CvModel",
+    "kf_init",
+    "kf_predict",
+    "kf_update",
+    "gain_schedule",
+    "kf_filter_rows",
+    "kf_forecast_rows",
+    "kf_filter_window",
+    "kf_forecast",
+]
 
 
 def _cv_transition(dt: float) -> np.ndarray:
@@ -55,6 +71,26 @@ class CvModel:
     init_pos_var: float = 1.0
     init_vel_var: float = 4.0
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            # only the process noise may vanish: zero measurement noise lets
+            # the innovation covariance turn singular
+            if f.name == "sigma_a" and value < 0:
+                raise ValueError(f"sigma_a must be non-negative, got {value}")
+            if f.name != "sigma_a" and value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value}")
+            if f.name.startswith("sigma_") and not math.isfinite(value * value):
+                raise ValueError(f"{f.name} = {value} overflows when squared")
+        try:
+            finite = bool(np.isfinite(self.process_noise).all())
+        except OverflowError:  # dt**4 of a huge dt
+            finite = False
+        if not finite:
+            raise ValueError(f"process noise overflows for dt = {self.dt}, sigma_a = {self.sigma_a}")
+
     @property
     def transition(self) -> np.ndarray:
         return _cv_transition(self.dt)
@@ -71,6 +107,10 @@ class CvModel:
     def measurement_noise(self) -> np.ndarray:
         return np.diag([self.sigma_x**2, self.sigma_y**2, self.sigma_vx**2, self.sigma_vy**2])
 
+    @property
+    def initial_covariance(self) -> np.ndarray:
+        return np.diag([self.init_pos_var, self.init_pos_var, self.init_vel_var, self.init_vel_var])
+
 
 @dataclass
 class KalmanState:
@@ -86,46 +126,107 @@ class KalmanState:
 
 def kf_init(z: np.ndarray, model: CvModel) -> KalmanState:
     """State from the first measurement, with the configured initial spread."""
-    cov = np.diag([model.init_pos_var, model.init_pos_var, model.init_vel_var, model.init_vel_var])
-    return KalmanState(mean=np.asarray(z, dtype=np.float64).copy(), covariance=cov)
+    return KalmanState(mean=np.asarray(z, dtype=np.float64).copy(), covariance=model.initial_covariance)
+
+
+def _predicted_covariance(cov: np.ndarray, model: CvModel) -> np.ndarray:
+    f = model.transition
+    return f @ cov @ f.T + model.process_noise
+
+
+def _gain(cov: np.ndarray, model: CvModel) -> np.ndarray:
+    """Kalman gain for a predicted covariance."""
+    h = model.measurement_map
+    s = h @ cov @ h.T + model.measurement_noise
+    try:
+        return np.linalg.solve(s.T, (cov @ h.T).T).T
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"innovation covariance not invertible: {exc}") from exc
+
+
+def _updated_covariance(cov: np.ndarray, gain: np.ndarray, model: CvModel) -> np.ndarray:
+    """Joseph form, which keeps the covariance symmetric."""
+    ikh = np.eye(4) - gain @ model.measurement_map
+    return ikh @ cov @ ikh.T + gain @ model.measurement_noise @ gain.T
 
 
 def kf_predict(state: KalmanState, model: CvModel) -> KalmanState:
-    f = model.transition
-    mean = f @ state.mean
-    cov = f @ state.covariance @ f.T + model.process_noise
-    return KalmanState(mean=mean, covariance=cov)
+    return KalmanState(mean=model.transition @ state.mean, covariance=_predicted_covariance(state.covariance, model))
 
 
 def kf_update(state: KalmanState, model: CvModel, z: np.ndarray) -> KalmanState:
     """Measurement correction; Joseph-form covariance update for symmetry."""
     z = np.asarray(z, dtype=np.float64)
-    h = model.measurement_map
-    r = model.measurement_noise
-    innovation = z - h @ state.mean
-    s = h @ state.covariance @ h.T + r
-    try:
-        gain = np.linalg.solve(s.T, (state.covariance @ h.T).T).T
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"innovation covariance not invertible: {exc}") from exc
-    mean = state.mean + gain @ innovation
-    ikh = np.eye(4) - gain @ h
-    cov = ikh @ state.covariance @ ikh.T + gain @ r @ gain.T
-    return KalmanState(mean=mean, covariance=cov)
+    gain = _gain(state.covariance, model)
+    mean = state.mean + gain @ (z - model.measurement_map @ state.mean)
+    return KalmanState(mean=mean, covariance=_updated_covariance(state.covariance, gain, model))
+
+
+def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (length - 1, 4, 4) update gains of a length-frame window and the
+    covariance after its last update. The covariance recursion never reads a
+    measurement, so every window of one length shares them."""
+    cov = model.initial_covariance
+    gains = np.empty((length - 1, 4, 4))
+    for t in range(length - 1):
+        cov = _predicted_covariance(cov, model)
+        gains[t] = _gain(cov, model)
+        cov = _updated_covariance(cov, gains[t], model)
+    if not (np.isfinite(gains).all() and np.isfinite(cov).all()):
+        raise ValueError(f"Kalman covariance overflows over {length} frames for {model}")
+    return gains, cov
+
+
+def _times_rows(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ row for every row. Broadcast-and-sum gives each row the same
+    bits whatever the row count; a BLAS product may not."""
+    return (rows[:, None, :] * mat).sum(-1)
+
+
+def _check_window_shape(shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[1] != 6 or shape[0] < 1:
+        raise ValueError(f"expected an (M, 6) observation window, got {shape}")
+
+
+def kf_filter_rows(windows: np.ndarray, model: CvModel) -> tuple[np.ndarray, np.ndarray]:
+    """Filter N (M, 6) observation windows at once on the shared gain
+    schedule: the (N, 4) final means and the final covariance. Measurements
+    are the relative position/velocity features (columns 2..5)."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3:
+        raise ValueError(f"expected (N, M, 6) observation windows, got {windows.shape}")
+    _check_window_shape(windows.shape[1:])
+    gains, cov = gain_schedule(model, windows.shape[1])
+    f = model.transition
+    z = windows[:, :, 2:6]
+    mean = z[:, 0].copy()
+    for t, gain in enumerate(gains, start=1):
+        predicted = _times_rows(f, mean)
+        mean = predicted + _times_rows(gain, z[:, t] - predicted)
+    return mean, cov
+
+
+def kf_forecast_rows(
+    windows: np.ndarray, model: CvModel, horizon: int, grid: ogm.GridSpec
+) -> np.ndarray:
+    """Filter N windows, then extrapolate their means: two 100 ms predictions
+    per output step (0.2 s cadence), each mean position quantized to a flat
+    class. Returns (N, horizon) class ids."""
+    mean, _ = kf_filter_rows(windows, model)
+    f = model.transition
+    positions = np.empty((mean.shape[0], horizon, 2))
+    for j in range(horizon):
+        mean = _times_rows(f, _times_rows(f, mean))
+        positions[:, j] = mean[:, :2]
+    return ogm.position_classes(positions, grid)
 
 
 def kf_filter_window(obs: np.ndarray, model: CvModel) -> KalmanState:
-    """Filter an (M, 6) observation window; measurements are the relative
-    position/velocity features (columns 2..5)."""
+    """Filter one (M, 6) observation window: kf_filter_rows on one row."""
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim != 2 or obs.shape[1] != 6 or obs.shape[0] < 1:
-        raise ValueError(f"expected an (M, 6) observation window, got {obs.shape}")
-    measurements = obs[:, 2:6]
-    state = kf_init(measurements[0], model)
-    for z in measurements[1:]:
-        state = kf_predict(state, model)
-        state = kf_update(state, model, z)
-    return state
+    _check_window_shape(obs.shape)
+    mean, cov = kf_filter_rows(obs[None], model)
+    return KalmanState(mean=mean[0], covariance=cov)
 
 
 def kf_forecast(
@@ -134,13 +235,8 @@ def kf_forecast(
     horizon: int = 10,
     grid: ogm.GridSpec = ogm.GridSpec(),
 ) -> list[int]:
-    """Filter the window, then extrapolate: two 100 ms predictions per output
-    step (0.2 s cadence), quantizing each mean position to a flat class."""
-    state = kf_filter_window(obs, model)
-    forecast: list[int] = []
-    for _ in range(horizon):
-        state = kf_predict(state, model)
-        state = kf_predict(state, model)
-        x, y = state.mean[0], state.mean[1]
-        forecast.append(ogm.flatten(ogm.quantize(float(x), float(y), grid), grid))
-    return forecast
+    """The flat-class forecast of one (M, 6) window: kf_forecast_rows on one
+    row."""
+    obs = np.asarray(obs, dtype=np.float64)
+    _check_window_shape(obs.shape)
+    return kf_forecast_rows(obs[None], model, horizon, grid)[0].tolist()

@@ -24,6 +24,7 @@ __all__ = [
     "GridSpec",
     "GridCell",
     "OUT_OF_MAP",
+    "position_classes",
     "quantize",
     "flatten",
     "unflatten",
@@ -118,25 +119,35 @@ class GridCell:
 OUT_OF_MAP = GridCell(0, 0)
 
 
-def quantize(x: float, y: float, spec: GridSpec = GridSpec()) -> GridCell:
-    """Map a relative position in meters to its grid cell.
+def position_classes(xy, spec: GridSpec = GridSpec()) -> np.ndarray:
+    """Flat class ids, shape (...), of an array of (..., 2) relative
+    positions in meters: quantize and flatten in one step.
 
     Out of map when x is outside [x_min, x_max) or y outside [y_min, y_max];
     y values inside the sensor range but in the residual lateral margins are
     clamped into the nearest edge cell.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"quantize requires finite coordinates, got ({x}, {y})")
-    if x < spec.x_min or x >= spec.x_max:
-        return OUT_OF_MAP
-    if y < spec.y_min or y > spec.y_max:
-        return OUT_OF_MAP
-    w = int(math.floor((x - spec.x_min) / spec.cell_len)) + 1
-    l = int(math.floor((y - spec.lateral_origin) / spec.cell_wid)) + 1
-    # clamp covers the margins and closes the topmost cell's upper edge
-    w = min(max(w, 1), spec.q_w)
-    l = min(max(l, 1), spec.q_l)
-    return GridCell(w, l)
+    xy = np.asarray(xy, dtype=np.float64)
+    x, y = xy[..., 0], xy[..., 1]
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        i = np.unravel_index(bad[0], x.shape)
+        raise ValueError(f"quantize requires finite coordinates, got ({float(x[i])}, {float(y[i])})")
+    out = (x < spec.x_min) | (x >= spec.x_max) | (y < spec.y_min) | (y > spec.y_max)
+    # out-of-map positions are computed at the grid origin, so no far-away
+    # coordinate reaches the division or the integer cast
+    x = np.where(out, spec.x_min, x)
+    y = np.where(out, spec.lateral_origin, y)
+    # clip covers the margins and closes the topmost cell's upper edge
+    w = np.clip(np.floor((x - spec.x_min) / spec.cell_len) + 1, 1, spec.q_w).astype(np.int64)
+    l = np.clip(np.floor((y - spec.lateral_origin) / spec.cell_wid) + 1, 1, spec.q_l).astype(np.int64)
+    return np.where(out, spec.out_of_map_class, (w - 1) * spec.q_l + l)
+
+
+def quantize(x: float, y: float, spec: GridSpec = GridSpec()) -> GridCell:
+    """Map a relative position in meters to its grid cell (position_classes
+    on one position)."""
+    return unflatten(int(position_classes((x, y), spec)), spec)
 
 
 def flatten(cell: GridCell, spec: GridSpec = GridSpec()) -> int:

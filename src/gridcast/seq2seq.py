@@ -24,11 +24,13 @@ differently).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -543,18 +545,21 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "tensors": [{"name": name, "shape": list(a.shape)} for name, a in items],
     }
     header = f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n" + json.dumps(manifest)
-    payload = header.encode("utf-8") + _BLOB_SEPARATOR
-    blobs = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in items)
-    write_atomic(path, payload + blobs, prefix=".ckpt-")
+    with write_atomic(path, prefix=".ckpt-") as f:
+        f.write(header.encode("utf-8") + _BLOB_SEPARATOR)
+        for _, a in items:
+            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def write_atomic(path: str, data: bytes, prefix: str) -> None:
-    """Write data to a temp file (named prefix + random) beside path, then
-    rename it over path, so path never holds a partial file."""
+@contextlib.contextmanager
+def write_atomic(path: str, prefix: str) -> Iterator[BinaryIO]:
+    """A binary file to stream into: a temp file (named prefix + random)
+    beside path, renamed over path when the block ends without an error and
+    removed when it raises, so path never holds a partial file."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=prefix)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -115,19 +115,22 @@ def crop_windows(records, obs_len: int, horizon: int, grid: ogm.GridSpec) -> tup
     (examples, count of records too short for a single window).
     """
     need = obs_len + LABEL_STRIDE * horizon
+    steps = LABEL_STRIDE * np.arange(horizon)
     examples: list[TrainingExample] = []
     skipped = 0
     for rec in records:
         frames = np.asarray(getattr(rec, "frames", rec), dtype=np.float64)
-        if frames.shape[0] < need:
+        count = frames.shape[0] - need + 1
+        if count < 1:
             skipped += 1
             continue
-        for s in range(frames.shape[0] - need + 1):
-            labels = np.empty(horizon, dtype=np.int64)
-            for j in range(horizon):
-                fx, fy = frames[s + obs_len + LABEL_STRIDE * (j + 1) - 1, 2:4]
-                labels[j] = ogm.flatten(ogm.quantize(float(fx), float(fy), grid), grid)
-            examples.append(TrainingExample(inputs=frames[s : s + obs_len], labels=labels))
+        # window s labels frame obs_len + 1 + s + 2j: with two or more
+        # windows every frame from obs_len + 1 on is a label, with one only
+        # every 2nd of them
+        every = 1 if count > 1 else LABEL_STRIDE
+        classes = ogm.position_classes(frames[obs_len + 1 :: every, 2:4], grid)
+        labels = classes[(np.arange(count)[:, None] + steps) // every]
+        examples += [TrainingExample(inputs=frames[s : s + obs_len], labels=labels[s]) for s in range(count)]
     return examples, skipped
 
 

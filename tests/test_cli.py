@@ -1,6 +1,7 @@
 """Command-line surface: config parsing and validation, the full
 datagen -> train -> predict -> eval pipeline at toy scale, verify battery."""
 
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gridcast import datagen, ogm, seq2seq, training
+from gridcast import datagen, kalman, metrics, ogm, seq2seq, training
 from gridcast.cli import ConfigError, load_run_config, main, validate_run_config
 
 # a toy setup that trains in seconds: 6x3 grid, 4-dim cells, 1 s window
@@ -280,6 +281,65 @@ class TestPipeline:
         assert rc == 0
         assert [c.args[3].x_max for c in crop.call_args_list] == [24.0]
 
+    @pytest.mark.parametrize("source", ["kalman", "checkpoint"])
+    def test_eval_telemetry_line(self, workdir, tmp_path, capsys, source):
+        # a test record cut too short for a window: counted, not scored
+        records = datagen.read_dataset(workdir["data"])
+        manifest = datagen.read_manifest(workdir["data"])
+        test_ids = set(manifest["splits"]["test"])
+        test_records = [r for r in records if r.scenario_id in test_ids]
+        test_records[0].frames = test_records[0].frames[:12]
+        data, series = str(tmp_path / "cut.jsonl"), str(tmp_path / "series.csv")
+        datagen.write_dataset(records, data)
+        datagen.write_manifest(manifest, data)
+        args = ["--kalman"] if source == "kalman" else ["--checkpoint", workdir["ckpt"]]
+        rc = main(["eval", *args, "--data", data, "--out-series", series] + toy_args())
+        assert rc == 0
+        captured = capsys.readouterr()
+        telemetry = json.loads(captured.err.splitlines()[-1])
+        windows = sum(r.frames.shape[0] - 15 for r in test_records[1:])
+        stage = "forecast" if source == "kalman" else "decode"
+        assert list(telemetry["stage_s"]) == ["read", "crop", stage, "score", "write"]
+        assert all(v >= 0 for v in telemetry["stage_s"].values())
+        assert telemetry["command"] == "eval"
+        assert telemetry["windows"] == windows
+        assert telemetry["windows_per_s"] > 0
+        assert telemetry["records_too_short"] == 1
+        if source == "kalman":
+            # stdout and series are those of one kf_forecast call per window
+            cfg = load_run_config(None, TOY)
+            grid = cfg.model.grid
+            examples, _ = training.crop_windows(test_records, 10, 3, grid)
+            predictions = [
+                seq2seq.TrajectoryPrediction([seq2seq.BeamHypothesis(kalman.kf_forecast(ex.inputs, cfg.kalman, 3, grid), 0.0)])
+                for ex in examples
+            ]
+            eval_cfg = dataclasses.replace(cfg.eval, omegas=(1,))
+            report = metrics.score_predictions(
+                predictions, [ex.labels for ex in examples], eval_cfg, grid, label="Kalman constant-velocity baseline"
+            )
+            text, expected_series = metrics.render_report(report)
+            assert captured.out == text + f"series written to {series}\n"
+            assert (tmp_path / "series.csv").read_text(encoding="utf-8") == expected_series
+
+    @pytest.mark.parametrize(
+        "override,field",
+        [
+            ("kalman.sigma_a=1e200", "sigma_a"),
+            ("kalman.sigma_a=nan", "sigma_a"),
+            ("kalman.dt=-1", "dt"),
+            ("kalman.init_pos_var=-5", "init_pos_var"),
+        ],
+    )
+    def test_eval_kalman_bad_model_exits_2(self, workdir, tmp_path, capsys, override, field):
+        series = str(tmp_path / "series.csv")
+        rc = main(["eval", "--kalman", "--data", workdir["data"], "--out-series", series] + toy_args(override))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: section 'kalman': {field} " in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_overfit_mode(self, workdir, capsys):
         ckpt = os.path.join(workdir["dir"], "overfit.ckpt")
         rc = main(["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3",
@@ -373,6 +433,17 @@ class TestBadInput:
         assert rc == 2
         assert "disk full" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+
+    def test_datagen_keeps_the_old_dataset_when_the_rename_fails(self, tmp_path, capsys):
+        data = str(tmp_path / "data.jsonl")
+        assert main(["datagen", "--out", data, "--seed", "3"] + toy_args()) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        capsys.readouterr()
+        with mock.patch("os.replace", side_effect=OSError("disk full")):
+            rc = main(["datagen", "--out", data, "--seed", "4"] + toy_args())
+        assert rc == 2
+        assert "disk full" in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
     @pytest.mark.parametrize("mode", [[], ["--greedy"]])
     def test_non_finite_logits_exit_2_without_output(self, workdir, tmp_path, capsys, mode):

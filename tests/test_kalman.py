@@ -1,11 +1,23 @@
 """Constant-velocity Kalman baseline: propagation, correction against the
-closed-form scalar filter, covariance discipline, forecast exactness."""
+closed-form scalar filter, covariance discipline, forecast exactness, the
+row-batched filter against single rows and the predict/update chain, and
+model validation."""
 
 import numpy as np
 import pytest
 
 from gridcast import ogm
-from gridcast.kalman import CvModel, KalmanState, kf_filter_window, kf_forecast, kf_init, kf_predict, kf_update
+from gridcast.kalman import (
+    CvModel,
+    KalmanState,
+    kf_filter_rows,
+    kf_filter_window,
+    kf_forecast,
+    kf_forecast_rows,
+    kf_init,
+    kf_predict,
+    kf_update,
+)
 
 MODEL = CvModel()
 GRID = ogm.GridSpec()
@@ -122,6 +134,97 @@ class TestForecast:
             kf_filter_window(np.zeros((0, 6)), MODEL)
         with pytest.raises(ValueError):
             kf_filter_window(np.zeros((10, 5)), MODEL)
+
+
+def noisy_windows(n, m=30, seed=0):
+    """n straight-line tracks with sensor noise, some leaving the grid."""
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform([-10.0, -9.0, -15.0, -1.0], [185.0, 9.0, 15.0, 1.0], size=(n, 4))
+    windows = np.stack([cv_frames(m, *row) for row in starts])
+    return windows + rng.standard_normal(windows.shape) * [0.0, 0.0, 0.5, 0.2, 0.5, 0.5]
+
+
+def chain_filter(obs, model):
+    state = kf_init(obs[0, 2:6], model)
+    for z in obs[1:, 2:6]:
+        state = kf_update(kf_predict(state, model), model, z)
+    return state
+
+
+class TestRows:
+    def test_rows_bit_identical_to_single_rows(self):
+        windows = noisy_windows(37)
+        means, cov = kf_filter_rows(windows, MODEL)
+        forecasts = kf_forecast_rows(windows, MODEL, 10, GRID)
+        assert forecasts.shape == (37, 10)
+        for n, obs in enumerate(windows):
+            single = kf_filter_window(obs, MODEL)
+            assert np.array_equal(means[n], single.mean)
+            assert np.array_equal(cov, single.covariance)
+            assert forecasts[n].tolist() == kf_forecast(obs, MODEL, 10, GRID)
+
+    @pytest.mark.parametrize("m", [1, 2, 30])
+    def test_rows_match_predict_update_chain(self, m):
+        windows = noisy_windows(25, m=m, seed=m)
+        means, cov = kf_filter_rows(windows, MODEL)
+        for n, obs in enumerate(windows):
+            chain = chain_filter(obs, MODEL)
+            assert np.max(np.abs(means[n] - chain.mean)) <= 1e-12
+            # the covariance recursion is the chain's, operation for operation
+            assert np.array_equal(cov, chain.covariance)
+
+    def test_forecast_extrapolates_the_filtered_means(self):
+        windows = noisy_windows(9, seed=4)
+        means, _ = kf_filter_rows(windows, MODEL)
+        forecasts = kf_forecast_rows(windows, MODEL, 10, GRID)
+        for n in range(9):
+            state = KalmanState(mean=means[n], covariance=np.eye(4))
+            expected = []
+            for _ in range(10):
+                state = kf_predict(kf_predict(state, MODEL), MODEL)
+                expected.append(ogm.flatten(ogm.quantize(*state.mean[:2], GRID), GRID))
+            assert forecasts[n].tolist() == expected
+
+    @pytest.mark.parametrize("window_shape", [(10, 5), (0, 6), (10, 7)])
+    def test_window_shape_message_shared_with_single_window(self, window_shape):
+        with pytest.raises(ValueError) as single:
+            kf_filter_window(np.zeros(window_shape), MODEL)
+        with pytest.raises(ValueError) as rows:
+            kf_filter_rows(np.zeros((3, *window_shape)), MODEL)
+        assert str(rows.value) == str(single.value) == f"expected an (M, 6) observation window, got {window_shape}"
+        with pytest.raises(ValueError, match="expected an"):
+            kf_forecast_rows(np.zeros((3, *window_shape)), MODEL, 10, GRID)
+
+    def test_rows_need_three_dimensions(self):
+        with pytest.raises(ValueError, match=r"expected \(N, M, 6\) observation windows, got \(30, 6\)"):
+            kf_filter_rows(np.zeros((30, 6)), MODEL)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("sigma_a", float("nan"), "sigma_a must be finite"),
+            ("sigma_x", float("inf"), "sigma_x must be finite"),
+            ("sigma_a", 1e200, "sigma_a = 1e+200 overflows when squared"),
+            ("sigma_vy", 1e155, "sigma_vy = 1e+155 overflows when squared"),
+            ("sigma_a", -1.0, "sigma_a must be non-negative"),
+            ("sigma_y", 0.0, "sigma_y must be positive"),
+            ("sigma_vx", -0.5, "sigma_vx must be positive"),
+            ("dt", -1.0, "dt must be positive"),
+            ("dt", 0.0, "dt must be positive"),
+            ("dt", 1e80, "process noise overflows for dt = 1e+80"),
+            ("init_pos_var", -5.0, "init_pos_var must be positive"),
+            ("init_vel_var", 0.0, "init_vel_var must be positive"),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=message.replace("+", r"\+")):
+            CvModel(**{field: value})
+
+    def test_zero_process_noise_accepted(self):
+        frames = cv_frames(30, 40.0, -1.5, 6.0, 0.3)
+        assert len(kf_forecast(frames, CvModel(sigma_a=0.0), 10, GRID)) == 10
 
 
 def test_noise_matrices_psd():

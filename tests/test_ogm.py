@@ -7,7 +7,17 @@ from hypothesis import given, strategies as st
 
 import numpy as np
 
-from gridcast.ogm import OUT_OF_MAP, GridCell, GridSpec, cell_center, flatten, quantize, unflatten, unflatten_indices
+from gridcast.ogm import (
+    OUT_OF_MAP,
+    GridCell,
+    GridSpec,
+    cell_center,
+    flatten,
+    position_classes,
+    quantize,
+    unflatten,
+    unflatten_indices,
+)
 
 GRID = GridSpec()
 
@@ -93,6 +103,85 @@ class TestQuantize:
         b = quantize(x1 + dx, y, GRID)
         if a.in_map and b.in_map:
             assert b.w >= a.w
+
+
+def reference_class(x: float, y: float, spec: GridSpec) -> int:
+    """The quantize-then-flatten rule written out scalar by scalar: the
+    reference the array classifier is held to."""
+    if x < spec.x_min or x >= spec.x_max or y < spec.y_min or y > spec.y_max:
+        return spec.out_of_map_class
+    w = min(max(int(math.floor((x - spec.x_min) / spec.cell_len)) + 1, 1), spec.q_w)
+    l = min(max(int(math.floor((y - spec.lateral_origin) / spec.cell_wid)) + 1, 1), spec.q_l)
+    return (w - 1) * spec.q_l + l
+
+
+GRIDS = st.one_of(
+    st.just(GRID),
+    st.builds(
+        GridSpec.custom,
+        q_w=st.integers(1, 40),
+        q_l=st.integers(1, 25),
+        cell_len=st.sampled_from([0.3, 1.0, 2.5, 5.0, 7.3]),
+        cell_wid=st.sampled_from([0.25, 0.5, 0.875, 1.1]),
+        x_min=st.sampled_from([0.0, -10.0, 3.7]),
+    ),
+)
+
+
+@st.composite
+def grid_and_positions(draw):
+    """A grid and positions that favour its edges: every cell edge, x_max,
+    y_min/y_max, the lateral margins, their float neighbours, far values."""
+    spec = draw(GRIDS)
+    xs = [spec.x_min + k * spec.cell_len for k in range(spec.q_w + 1)] + [spec.x_max, 1e300, -1e300]
+    ys = [spec.lateral_origin + k * spec.cell_wid for k in range(spec.q_l + 1)]
+    ys += [spec.y_min, spec.y_max, (spec.y_max + ys[-1]) / 2, (spec.y_min + ys[0]) / 2, 1e300, -1e300]
+
+    def nudged(values):
+        # the value itself or its float neighbour on either side
+        return st.tuples(st.sampled_from(values), st.sampled_from([-np.inf, None, np.inf])).map(
+            lambda pair: pair[0] if pair[1] is None else np.nextafter(pair[0], pair[1])
+        )
+
+    x = st.one_of(nudged(xs), st.floats(spec.x_min - 5, spec.x_max + 5), st.floats(allow_nan=False, allow_infinity=False))
+    y = st.one_of(nudged(ys), st.floats(spec.y_min - 1, spec.y_max + 1), st.floats(allow_nan=False, allow_infinity=False))
+    points = draw(st.lists(st.tuples(x, y), min_size=1, max_size=30))
+    return spec, [(float(a), float(b)) for a, b in points]
+
+
+class TestPositionClasses:
+    @given(grid_and_positions())
+    def test_equals_scalar_rule_and_quantize(self, case):
+        spec, points = case
+        got = position_classes(np.array(points), spec)
+        assert got.dtype == np.int64 and got.shape == (len(points),)
+        for (x, y), q in zip(points, got.tolist()):
+            assert q == reference_class(x, y, spec), (x, y)
+            assert flatten(quantize(x, y, spec), spec) == q
+
+    def test_keeps_leading_shape(self):
+        xy = np.array([[[2.0, 0.0], [185.0, 0.0]], [[0.0, -9.1875], [179.999, 9.2]]])
+        assert position_classes(xy, GRID).tolist() == [[11, 757], [1, 35 * 21 + 21]]
+
+    def test_just_below_x_max_is_in_the_last_column(self):
+        # (x - x_min) / cell_len rounds up to q_w here
+        spec = GridSpec.custom(5, 3, cell_len=0.7)
+        x = float(np.nextafter(spec.x_max, -np.inf))
+        assert position_classes([[x, 0.0]], spec).tolist() == [reference_class(x, 0.0, spec)] == [4 * 3 + 2]
+
+    @pytest.mark.parametrize("spec", [GRID, GridSpec.custom(4, 3, cell_len=0.3, cell_wid=0.25)])
+    @pytest.mark.parametrize("x,y", [(1e300, 0.0), (-1e300, 1e300), (1.7976931348623157e308, -1.7976931348623157e308), (5e-324, 0.0)])
+    def test_far_positions_raise_no_float_warning(self, spec, x, y):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = position_classes([[x, y]], spec)
+        assert got.tolist() == [reference_class(x, y, spec)]
+
+    def test_non_finite_names_the_first_bad_position(self):
+        xy = np.array([[1.0, 0.0], [2.0, float("nan")], [float("inf"), 0.0]])
+        with pytest.raises(ValueError, match=r"^quantize requires finite coordinates, got \(2\.0, nan\)$"):
+            position_classes(xy, GRID)
+        with pytest.raises(ValueError, match=r"got \(nan, 0\.0\)$"):
+            quantize(float("nan"), 0.0, GRID)
 
 
 class TestFlattenUnflatten:

@@ -278,6 +278,48 @@ class TestCropWindows:
         examples, _ = crop_windows([frames], 30, 10, self.GRID)
         assert np.all(examples[0].labels == 757)
 
+    @staticmethod
+    def reference_labels(frames, obs_len, horizon, grid):
+        """One scalar quantize per label, window by window."""
+        need = obs_len + 2 * horizon
+        return [
+            [
+                ogm.flatten(ogm.quantize(*frames[s + obs_len + 2 * (j + 1) - 1, 2:4], grid), grid)
+                for j in range(horizon)
+            ]
+            for s in range(frames.shape[0] - need + 1)
+        ]
+
+    @pytest.mark.parametrize("grid", [ogm.GridSpec(), ogm.GridSpec.custom(6, 3)])
+    def test_labels_equal_scalar_reference(self, grid):
+        rng = np.random.default_rng(8)
+        records = []
+        for n_frames in (49, 50, 51, 52, 57, 64):
+            frames = self.make_record(n_frames, x0=rng.uniform(-5, 185), vx=rng.uniform(-20, 20))
+            frames[:, 2:4] += rng.normal(0.0, [3.0, 6.0], size=(n_frames, 2))
+            records.append(frames)
+        examples, skipped = crop_windows(records, 30, 10, grid)
+        assert skipped == 1
+        expected = [labels for frames in records for labels in self.reference_labels(frames, 30, 10, grid)]
+        assert [ex.labels.tolist() for ex in examples] == expected
+        assert all(ex.labels.dtype == np.int64 for ex in examples)
+
+    def test_nan_outside_label_frames_is_not_read(self):
+        # one window: frames 0..30 are only observed, and the label frames
+        # are every 2nd frame from 31 on
+        frames = self.make_record(50)
+        frames[[0, 30, 32, 48], 2] = np.nan
+        frames[:, [0, 1, 4, 5]] = np.nan
+        examples, _ = crop_windows([frames], 30, 10, self.GRID)
+        assert len(examples) == 1
+        assert examples[0].labels.tolist() == self.reference_labels(frames, 30, 10, self.GRID)[0]
+
+    def test_nan_in_a_label_frame_raises(self):
+        frames = self.make_record(50)
+        frames[33, 3] = np.nan
+        with pytest.raises(ValueError, match="quantize requires finite coordinates"):
+            crop_windows([frames], 30, 10, self.GRID)
+
 
 class TestTrainLoop:
     def small_dataset(self, seed=0):
