@@ -129,49 +129,51 @@ def kf_init(z: np.ndarray, model: CvModel) -> KalmanState:
     return KalmanState(mean=np.asarray(z, dtype=np.float64).copy(), covariance=model.initial_covariance)
 
 
-def _predicted_covariance(cov: np.ndarray, model: CvModel) -> np.ndarray:
-    f = model.transition
-    return f @ cov @ f.T + model.process_noise
+def _predicted_covariance(cov: np.ndarray, f: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return f @ cov @ f.T + q
 
 
-def _gain(cov: np.ndarray, model: CvModel) -> np.ndarray:
+def _gain(cov: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Kalman gain for a predicted covariance."""
-    h = model.measurement_map
-    s = h @ cov @ h.T + model.measurement_noise
+    s = h @ cov @ h.T + r
     try:
         return np.linalg.solve(s.T, (cov @ h.T).T).T
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"innovation covariance not invertible: {exc}") from exc
 
 
-def _updated_covariance(cov: np.ndarray, gain: np.ndarray, model: CvModel) -> np.ndarray:
+def _updated_covariance(cov: np.ndarray, gain: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Joseph form, which keeps the covariance symmetric."""
-    ikh = np.eye(4) - gain @ model.measurement_map
-    return ikh @ cov @ ikh.T + gain @ model.measurement_noise @ gain.T
+    ikh = np.eye(4) - gain @ h
+    return ikh @ cov @ ikh.T + gain @ r @ gain.T
 
 
 def kf_predict(state: KalmanState, model: CvModel) -> KalmanState:
-    return KalmanState(mean=model.transition @ state.mean, covariance=_predicted_covariance(state.covariance, model))
+    f = model.transition
+    return KalmanState(mean=f @ state.mean, covariance=_predicted_covariance(state.covariance, f, model.process_noise))
 
 
 def kf_update(state: KalmanState, model: CvModel, z: np.ndarray) -> KalmanState:
     """Measurement correction; Joseph-form covariance update for symmetry."""
     z = np.asarray(z, dtype=np.float64)
-    gain = _gain(state.covariance, model)
-    mean = state.mean + gain @ (z - model.measurement_map @ state.mean)
-    return KalmanState(mean=mean, covariance=_updated_covariance(state.covariance, gain, model))
+    h, r = model.measurement_map, model.measurement_noise
+    gain = _gain(state.covariance, h, r)
+    mean = state.mean + gain @ (z - h @ state.mean)
+    return KalmanState(mean=mean, covariance=_updated_covariance(state.covariance, gain, h, r))
 
 
 def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
     """The (length - 1, 4, 4) update gains of a length-frame window and the
     covariance after its last update. The covariance recursion never reads a
     measurement, so every window of one length shares them."""
+    f, q = model.transition, model.process_noise
+    h, r = model.measurement_map, model.measurement_noise
     cov = model.initial_covariance
     gains = np.empty((length - 1, 4, 4))
     for t in range(length - 1):
-        cov = _predicted_covariance(cov, model)
-        gains[t] = _gain(cov, model)
-        cov = _updated_covariance(cov, gains[t], model)
+        cov = _predicted_covariance(cov, f, q)
+        gains[t] = _gain(cov, h, r)
+        cov = _updated_covariance(cov, gains[t], h, r)
     if not (np.isfinite(gains).all() and np.isfinite(cov).all()):
         raise ValueError(f"Kalman covariance overflows over {length} frames for {model}")
     return gains, cov
