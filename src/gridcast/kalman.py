@@ -170,10 +170,11 @@ def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
     h, r = model.measurement_map, model.measurement_noise
     cov = model.initial_covariance
     gains = np.empty((length - 1, 4, 4))
-    for t in range(length - 1):
-        cov = _predicted_covariance(cov, f, q)
-        gains[t] = _gain(cov, h, r)
-        cov = _updated_covariance(cov, gains[t], h, r)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for t in range(length - 1):
+            cov = _predicted_covariance(cov, f, q)
+            gains[t] = _gain(cov, h, r)
+            cov = _updated_covariance(cov, gains[t], h, r)
     if not (np.isfinite(gains).all() and np.isfinite(cov).all()):
         raise ValueError(f"Kalman covariance overflows over {length} frames for {model}")
     return gains, cov
@@ -204,6 +205,7 @@ def kf_filter_rows(windows: np.ndarray, model: CvModel) -> tuple[np.ndarray, np.
     mean = z[:, 0].copy()
     for t, gain in enumerate(gains, start=1):
         predicted = _times_rows(f, mean)
+        # the measurement map is the identity, so the innovation is z - prediction
         mean = predicted + _times_rows(gain, z[:, t] - predicted)
     return mean, cov
 

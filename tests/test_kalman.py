@@ -222,6 +222,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=message.replace("+", r"\+")):
             CvModel(**{field: value})
 
+    def test_covariance_overflow_over_the_window_rejected(self):
+        # each field is in range, but the predicted covariance overflows
+        model = CvModel(dt=10.0, init_vel_var=1e308)
+        with pytest.raises(ValueError, match="Kalman covariance overflows over 30 frames"):
+            kf_forecast(cv_frames(30, 40.0, 0.0, 1.0, 0.0), model, 10, GRID)
+
     def test_zero_process_noise_accepted(self):
         frames = cv_frames(30, 40.0, -1.5, 6.0, 0.3)
         assert len(kf_forecast(frames, CvModel(sigma_a=0.0), 10, GRID)) == 10
