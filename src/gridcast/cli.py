@@ -279,6 +279,7 @@ def cmd_predict(
     horizon: int | None,
     greedy: bool,
 ) -> int:
+    stages = _Stages()
     params = seq2seq.load_checkpoint(checkpoint_path)
     records = datagen.read_dataset(data_path)
     obs_len = params.config.obs_len
@@ -291,12 +292,14 @@ def cmd_predict(
             )
             return 2
     windows = [rec.frames[-obs_len:] for rec in records]
+    stages.lap("read")
     if greedy:
         # one vehicle at a time: the output is bit-identical to a
         # single-vehicle beam of width 1
         per_vehicle = [[seq2seq.greedy_decode(params, seq2seq.encode(params, w), horizon)] for w in windows]
     else:
         per_vehicle = [p.hypotheses for p in seq2seq.predict_scene(params, windows, beam_width, horizon)]
+    stages.lap("decode")
     lines = []
     for rec, hyps in zip(records, per_vehicle):
         w, l = ogm.unflatten_indices([h.sequence for h in hyps], params.config.grid)
@@ -312,6 +315,15 @@ def cmd_predict(
     with seq2seq.write_atomic(out_path, prefix=".predict-") as f:
         f.write("".join(lines).encode("utf-8"))
     print(f"wrote predictions for {len(records)} vehicles to {out_path}")
+    stages.lap("write")
+    total = sum(stages.seconds.values())
+    telemetry = {
+        "command": "predict",
+        "stage_s": {name: round(sec, 6) for name, sec in stages.seconds.items()},
+        "vehicles": len(records),
+        "vehicles_per_s": round(len(records) / total, 3),
+    }
+    print(json.dumps(telemetry), file=sys.stderr)
     return 0
 
 

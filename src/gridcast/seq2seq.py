@@ -27,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
+import secrets
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, Iterator
@@ -132,11 +132,6 @@ class Observation:
 
     def to_array(self) -> np.ndarray:
         return np.array([self.v, self.yaw_rate, self.x, self.y, self.vx, self.vy])
-
-    @classmethod
-    def from_array(cls, a) -> "Observation":
-        v, yaw_rate, x, y, vx, vy = (float(z) for z in a)
-        return cls(v, yaw_rate, x, y, vx, vy)
 
 
 def observations_to_array(obs) -> np.ndarray:
@@ -555,8 +550,10 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 def write_atomic(path: str, prefix: str) -> Iterator[BinaryIO]:
     """A binary file to stream into: a temp file (named prefix + random)
     beside path, renamed over path when the block ends without an error and
-    removed when it raises, so path never holds a partial file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=prefix)
+    removed when it raises, so path never holds a partial file. The file
+    gets the mode a plain open() gives a new one: 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), prefix + secrets.token_hex(8))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             yield f

@@ -17,9 +17,7 @@ LSTM stacks, the dense layers, and the embedding matrices.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -381,27 +379,6 @@ def _blas_threads() -> int | None:
 _BLAS_PINNED = _blas_threads() == 1
 
 
-def _cpu_quota(root: str = "/sys/fs/cgroup") -> float:
-    """CPUs' worth of time the cgroup CPU quota allows (cgroup v2 cpu.max,
-    else v1 cpu.cfs_quota_us over cpu.cfs_period_us); inf when there is no
-    quota or it cannot be read."""
-    try:
-        with open(os.path.join(root, "cpu.max")) as f:
-            quota, period = f.read().split()
-    except (OSError, ValueError):
-        try:
-            with open(os.path.join(root, "cpu", "cpu.cfs_quota_us")) as f:
-                quota = f.read().strip()
-            with open(os.path.join(root, "cpu", "cpu.cfs_period_us")) as f:
-                period = f.read().strip()
-        except OSError:
-            return math.inf
-    try:
-        return int(quota) / int(period) if int(quota) > 0 and int(period) > 0 else math.inf
-    except ValueError:  # "max"
-        return math.inf
-
-
 def _cpu_set() -> set[int]:
     if hasattr(os, "sched_getaffinity"):
         return os.sched_getaffinity(0)
@@ -411,88 +388,25 @@ def _cpu_set() -> set[int]:
 def row_shards() -> int:
     """How many row shards train() splits each batch into: 2 when numpy's
     BLAS is pinned to one thread and this process may use at least 2 CPUs
-    (its affinity mask and cgroup CPU quota); else 1, since an unpinned BLAS
-    already spreads each product over the cores. The answer depends on the
-    process's settings only, not on the machine's load, so it fixes the
-    numbers a run computes."""
-    return 2 if _BLAS_PINNED and min(len(_cpu_set()), _cpu_quota()) >= 2 else 1
+    (its affinity mask); else 1, since an unpinned BLAS already spreads each
+    product over the cores. The answer depends on the process's settings
+    only, not on the machine's load, so it fixes the numbers a run
+    computes."""
+    return 2 if _BLAS_PINNED and len(_cpu_set()) >= 2 else 1
 
 
 def layout() -> str:
     """How train() runs its batches, in words, as `gridcast train` prints it."""
     if row_shards() == 1:
         return "whole batches on the calling thread"
-    return "2 row shards, the second on a worker thread while a second CPU is free"
-
-
-def _cpu_sample(cpus: set[int]) -> tuple[float, float, float] | None:
-    """(wall clock, this process's CPU time, busy time of the given CPUs),
-    all in seconds; None where /proc/stat cannot be read. Busy time is what
-    processes ran (user, nice, system, irq, softirq). It leaves out time a
-    hypervisor stole: that slows every CPU of a virtual machine alike, so a
-    second thread still gains."""
-    try:
-        with open("/proc/stat") as f:
-            lines = f.readlines()
-    except OSError:
-        return None
-    busy = 0
-    for line in lines:
-        name, _, ticks = line.partition(" ")
-        if name.startswith("cpu") and name[3:].isdigit() and int(name[3:]) in cpus:
-            # user nice system idle iowait irq softirq steal
-            t = [int(x) for x in ticks.split()[:8]]
-            busy += t[0] + t[1] + t[2] + t[5] + t[6]
-    return time.perf_counter(), time.process_time(), busy / os.sysconf("SC_CLK_TCK")
-
-
-class _RowShards:
-    """Runs a batch's two row shards. The first runs on the calling thread.
-    The second runs on the pool's one worker at the same time while another
-    CPU is free, and after the first otherwise; the numbers are the same
-    either way. numpy releases the GIL inside its matrix products and float
-    ufuncs, so threaded shards overlap.
-
-    "Free" is measured, not assumed: over the last batch (at least 0.1 s of
-    wall time), the process's CPUs less the CPU time other processes took
-    on them must leave 1.5 CPUs. So several pinned processes sharing the
-    cores each compute their shards one after the other instead of adding a
-    thread apiece. Without /proc/stat the worker is always used."""
-
-    def __init__(self, pool: Executor, cpus: set[int], sample):
-        self.pool = pool
-        self.cpus = cpus
-        self.sample = sample
-        self.mark = sample(cpus)
-        self.threaded = True
-
-    def _spare_cpu(self) -> bool:
-        now = self.sample(self.cpus)
-        if now is None or self.mark is None:
-            return True
-        wall, own, busy = (a - b for a, b in zip(now, self.mark))
-        if wall >= 0.1:
-            self.threaded = len(self.cpus) - (busy - own) / wall >= 1.5
-            self.mark = now
-        return self.threaded
-
-    def run(self, fn, first, second):
-        """(fn(first), fn(second)); fn(second) has finished, or raised,
-        before this returns or raises."""
-        if not self._spare_cpu():
-            return fn(first), fn(second)
-        future = self.pool.submit(fn, second)
-        try:
-            a = fn(first)
-        finally:
-            b = future.result()
-        return a, b
+    return "2 row shards, the second on a worker thread"
 
 
 @contextlib.contextmanager
-def _row_shards() -> Iterator[_RowShards | None]:
-    """A _RowShards for train() when row_shards() is 2, else None. Its worker
-    thread is joined when the block exits, normally or by an exception."""
+def _row_shards() -> Iterator[Executor | None]:
+    """The one-worker pool that runs each batch's second row shard when
+    row_shards() is 2, else None. The worker thread is joined when the block
+    exits, normally or by an exception."""
     if row_shards() == 1:
         yield None
         return
@@ -501,36 +415,40 @@ def _row_shards() -> Iterator[_RowShards | None]:
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gridcast-shard") as pool:
-        yield _RowShards(pool, _cpu_set(), _cpu_sample)
+        yield pool
 
 
 def _batch_nll(
-    params: ModelParams, examples: list[TrainingExample], shards: _RowShards | None, with_grads: bool = True
+    params: ModelParams, examples: list[TrainingExample], pool: Executor | None, with_grads: bool = True
 ) -> tuple[float, dict[str, np.ndarray] | None]:
-    """nll_loss of one batch: on the whole batch without shards, else as two
+    """nll_loss of one batch: on the whole batch without a pool, else as two
     contiguous row shards, each normalised by the whole batch's rows. The
-    split is fixed, so the result does not depend on where or when the
-    shards ran; it differs from the whole batch's in summation order only."""
-    if shards is None or len(examples) < 2:
+    first runs on the calling thread, the second on the pool's worker at the
+    same time (numpy releases the GIL inside its matrix products and float
+    ufuncs), and the second has finished, or raised, before this returns or
+    raises. The split is fixed, so the result does not depend on which
+    thread ran a shard; it differs from the whole batch's in summation order
+    only."""
+    if pool is None or len(examples) < 2:
         return nll_loss(params, examples, with_grads)
     half = (len(examples) + 1) // 2
-    (loss, grads), (loss2, grads2) = shards.run(
-        lambda part: nll_loss(params, part, with_grads, len(examples)), examples[:half], examples[half:]
-    )
+    future = pool.submit(nll_loss, params, examples[half:], with_grads, len(examples))
+    try:
+        loss, grads = nll_loss(params, examples[:half], with_grads, len(examples))
+    finally:
+        loss2, grads2 = future.result()
     if grads is not None:
         for name, g in grads.items():
             g += grads2[name]
     return loss + loss2, grads
 
 
-def _dataset_nll(
-    params: ModelParams, examples: list[TrainingExample], batch_size: int, shards: _RowShards | None
-) -> float:
+def _dataset_nll(params: ModelParams, examples: list[TrainingExample], batch_size: int, pool: Executor | None) -> float:
     total = 0.0
     count = 0
     for s in range(0, len(examples), batch_size):
         chunk = examples[s : s + batch_size]
-        loss, _ = _batch_nll(params, chunk, shards, with_grads=False)
+        loss, _ = _batch_nll(params, chunk, pool, with_grads=False)
         total += loss * len(chunk)
         count += len(chunk)
     return total / count
@@ -554,7 +472,7 @@ def train(
     joined before train returns or raises."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
-    with _row_shards() as shards:
+    with _row_shards() as pool:
         rng = np.random.default_rng(tconfig.seed)
         params = init_model_params(config, rng)
         fit_normalizer(params, train_set)
@@ -567,8 +485,8 @@ def train(
         best_params = params.copy()
         evals_since_improvement = 0
 
-        train_nll0 = _dataset_nll(params, train_set, tconfig.batch_size, shards)
-        val_nll = _dataset_nll(params, val_set, tconfig.batch_size, shards)
+        train_nll0 = _dataset_nll(params, train_set, tconfig.batch_size, pool)
+        val_nll = _dataset_nll(params, val_set, tconfig.batch_size, pool)
         val_history.append(val_nll)
         trace.append((0, train_nll0, val_nll, lr))
         if val_nll < best_val:
@@ -585,7 +503,7 @@ def train(
             for s in range(0, len(order), tconfig.batch_size):
                 batch = [train_set[i] for i in order[s : s + tconfig.batch_size]]
                 try:
-                    loss, grads = _batch_nll(params, batch, shards)
+                    loss, grads = _batch_nll(params, batch, pool)
                 except FloatingPointError as exc:
                     raise TrainingDiverged(str(exc), best_params, trace) from exc
                 clip_gradients(grads, tconfig.grad_clip_norm)
@@ -593,7 +511,7 @@ def train(
                 epoch_loss += loss * len(batch)
                 seen += len(batch)
 
-            val_nll = _dataset_nll(params, val_set, tconfig.batch_size, shards)
+            val_nll = _dataset_nll(params, val_set, tconfig.batch_size, pool)
             if not np.isfinite(val_nll):
                 raise TrainingDiverged("non-finite validation loss", best_params, trace)
             val_history.append(val_nll)

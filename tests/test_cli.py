@@ -180,7 +180,7 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "shards, layout",
         [
-            (2, "2 row shards, the second on a worker thread while a second CPU is free"),
+            (2, "2 row shards, the second on a worker thread"),
             (1, "whole batches on the calling thread"),
         ],
     )
@@ -321,6 +321,33 @@ class TestPipeline:
             text, expected_series = metrics.render_report(report)
             assert captured.out == text + f"series written to {series}\n"
             assert (tmp_path / "series.csv").read_text(encoding="utf-8") == expected_series
+
+    @pytest.mark.parametrize("mode", [["--greedy"], []], ids=["greedy", "beam"])
+    def test_predict_telemetry_line(self, workdir, tmp_path, capsys, mode):
+        out = str(tmp_path / "pred.jsonl")
+        assert main(["predict", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--out", out, *mode]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote predictions for 16 vehicles to {out}\n"
+        [line] = captured.err.splitlines()
+        telemetry = json.loads(line)
+        assert telemetry["command"] == "predict"
+        assert list(telemetry["stage_s"]) == ["read", "decode", "write"]
+        assert all(v >= 0 for v in telemetry["stage_s"].values())
+        assert telemetry["vehicles"] == 16
+        assert telemetry["vehicles_per_s"] > 0
+
+    def test_outputs_take_the_umask_mode(self, tmp_path):
+        data, ckpt = str(tmp_path / "data.jsonl"), str(tmp_path / "model.ckpt")
+        outputs = [data, data + ".manifest.json", ckpt, ckpt + ".metrics.csv", str(tmp_path / "pred.jsonl"), str(tmp_path / "series.csv")]
+        old = os.umask(0o022)
+        try:
+            assert main(["datagen", "--out", data, "--seed", "3"] + toy_args()) == 0
+            assert main(["train", "--data", data, "--out", ckpt, "--seed", "3"] + toy_args("train.max_epochs=1")) == 0
+            assert main(["predict", "--checkpoint", ckpt, "--data", data, "--out", outputs[4], "--greedy"]) == 0
+            assert main(["eval", "--checkpoint", ckpt, "--data", data, "--out-series", outputs[5]] + toy_args()) == 0
+        finally:
+            os.umask(old)
+        assert {path: oct(os.stat(path).st_mode & 0o777) for path in outputs} == {path: "0o644" for path in outputs}
 
     @pytest.mark.parametrize(
         "override,field",

@@ -1,13 +1,13 @@
 """Training: NLL values against hand-derived anchors, Adam against its
 closed-form first step and a quadratic bowl, plateau schedule, window
 cropping, gradient clipping, reproducibility, full-model gradient check,
-and batches run as two row shards, on two threads while a second CPU is
-free."""
+and pinned batches run as two row shards on two threads."""
 
 import contextlib
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -411,24 +411,24 @@ class TestNormalizer:
         assert np.all(params.feat_std >= 1e-8)
 
 
-def fake_sample(other_cpus):
-    """A _cpu_sample stand-in: 1 s of wall time passes between calls, and
-    other processes keep `other_cpus` CPUs busy."""
-    clock = iter(range(10**6))
-
-    def sample(cpus):
-        t = float(next(clock))
-        return t, 0.0, other_cpus * t
-
-    return sample
-
-
 @contextlib.contextmanager
-def row_shards_on(other_cpus, prefix="shard-test"):
-    """Two-shard execution on 2 CPUs, of which other processes take
-    `other_cpus`."""
+def worker_pool(prefix="shard-test"):
+    """The one-worker pool train() runs second shards on."""
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix=prefix) as pool:
-        yield training._RowShards(pool, {0, 1}, fake_sample(other_cpus))
+        yield pool
+
+
+class InlineExecutor:
+    """An executor stand-in whose submit runs the call at once, on the
+    calling thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
 
 def assert_bitwise_equal(a, b):
@@ -456,8 +456,8 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 class TestRowShards:
-    """A batch split into two row shards, the second on one worker thread
-    while another CPU is free."""
+    """A pinned batch split into two row shards, the second on one worker
+    thread."""
 
     @pytest.mark.parametrize(
         "env, expected",
@@ -480,89 +480,74 @@ class TestRowShards:
         assert training._blas_threads() == expected
 
     @pytest.mark.parametrize(
-        "pinned, cpus, quota, expected",
+        "pinned, cpus, expected",
         [
-            (True, 2, math.inf, 2),
-            (True, 4, math.inf, 2),
-            (True, 4, 2.0, 2),
-            (True, 1, math.inf, 1),
-            (True, 4, 1.0, 1),
-            (True, 4, 1.5, 1),
-            (False, 2, math.inf, 1),
+            (True, 2, 2),
+            (True, 4, 2),
+            (True, 1, 1),
+            (False, 2, 1),
+            (False, 4, 1),
         ],
     )
-    def test_rule_reads_pin_cpus_and_quota(self, monkeypatch, pinned, cpus, quota, expected):
+    def test_rule_reads_pin_and_cpus(self, monkeypatch, pinned, cpus, expected):
         monkeypatch.setattr(training, "_BLAS_PINNED", pinned)
         monkeypatch.setattr(training, "_cpu_set", lambda: set(range(cpus)))
-        monkeypatch.setattr(training, "_cpu_quota", lambda: quota)
+
+        def no_files(*args, **kwargs):
+            raise AssertionError("row_shards() opened a file")
+
+        monkeypatch.setattr("builtins.open", no_files)
         assert training.row_shards() == expected
         assert training.layout().startswith("2 row shards" if expected == 2 else "whole batches")
 
     def test_blas_pin_is_read_once_at_import(self, monkeypatch):
         monkeypatch.setattr(training, "_cpu_set", lambda: {0, 1})
-        monkeypatch.setattr(training, "_cpu_quota", lambda: math.inf)
         before = training.row_shards()
         for name in BLAS_VARIABLES:
             monkeypatch.setenv(name, "4" if training._BLAS_PINNED else "1")
         assert training.row_shards() == before
 
-    def test_cpu_quota_reads_cgroup_v2_then_v1(self, tmp_path):
-        assert training._cpu_quota(str(tmp_path)) == math.inf  # no cgroup files
-        (tmp_path / "cpu").mkdir()
-        (tmp_path / "cpu" / "cpu.cfs_period_us").write_text("100000\n")
-        (tmp_path / "cpu" / "cpu.cfs_quota_us").write_text("-1\n")
-        assert training._cpu_quota(str(tmp_path)) == math.inf
-        (tmp_path / "cpu" / "cpu.cfs_quota_us").write_text("200000\n")
-        assert training._cpu_quota(str(tmp_path)) == 2.0
-        (tmp_path / "cpu.max").write_text("max 100000\n")
-        assert training._cpu_quota(str(tmp_path)) == math.inf
-        (tmp_path / "cpu.max").write_text("150000 100000\n")
-        assert training._cpu_quota(str(tmp_path)) == 1.5
-
-    def test_cpu_sample_counts_only_the_given_cpus(self):
-        sample = training._cpu_sample(training._cpu_set())
-        if sample is None:
-            pytest.skip("no /proc/stat")
-        wall, own, busy = sample
-        assert own > 0 and busy > 0
-        assert training._cpu_sample({10**6})[2] == 0  # no such CPU
-
-    def test_worker_used_only_while_another_cpu_is_free(self):
-        samples = iter(
-            [
-                (0.0, 0.0, 0.0),  # taken when the shards start
-                (0.05, 0.1, 0.1),  # under 0.1 s: too short to judge, keeps the worker
-                (1.0, 1.9, 2.0),  # others took 0.1 of 2 CPUs: 1.9 free
-                (2.0, 2.9, 4.2),  # others took 1.2 CPUs: 0.8 free, shards run in turn
-                (2.05, 2.95, 4.3),  # too short: keeps running them in turn
-                (2.3, 3.25, 4.5),  # others idle since the last judged sample
-            ]
-        )
-        shards = training._RowShards(None, {0, 1}, lambda cpus: next(samples))
-        assert [shards._spare_cpu() for _ in range(5)] == [True, True, False, False, True]
-        no_proc_stat = training._RowShards(None, {0, 1}, lambda cpus: None)
-        assert no_proc_stat._spare_cpu()
-
     @pytest.mark.parametrize("with_grads", [True, False])
     def test_threaded_equals_inline_bitwise(self, monkeypatch, with_grads):
         config, params, examples = tiny_setup(n_examples=9, seed=4)
+        loss, grads = nll_loss(params, examples[:5], with_grads, 9)
+        loss2, grads2 = nll_loss(params, examples[5:], with_grads, 9)
         calls = recording_nll(monkeypatch)
-        with row_shards_on(0.0) as shards:
-            threaded = training._batch_nll(params, examples, shards, with_grads)
-        with row_shards_on(1.0) as shards:
-            inline = training._batch_nll(params, examples, shards, with_grads)
-        assert sorted(calls) == [("MainThread", 4), ("MainThread", 5), ("MainThread", 5), ("shard-test_0", 4)]
+        with worker_pool() as pool:
+            threaded = training._batch_nll(params, examples, pool, with_grads)
+        assert sorted(calls) == [("MainThread", 5), ("shard-test_0", 4)]
         if with_grads:
-            assert_bitwise_equal(threaded, inline)
+            for name, g in grads.items():
+                g += grads2[name]
+            assert_bitwise_equal(threaded, (loss + loss2, grads))
         else:
-            assert threaded == inline
+            assert threaded == (loss + loss2, None)
+
+    def test_worker_shard_is_joined_when_the_first_raises(self, monkeypatch):
+        config, params, examples = tiny_setup(n_examples=4, seed=3)
+        real = training.nll_loss
+        finished = []
+
+        def fail_on_main(params, examples, *args):
+            if threading.current_thread() is threading.main_thread():
+                raise FloatingPointError("non-finite training loss")
+            time.sleep(0.05)
+            result = real(params, examples, *args)
+            finished.append(len(examples))
+            return result
+
+        monkeypatch.setattr(training, "nll_loss", fail_on_main)
+        with worker_pool() as pool:
+            with pytest.raises(FloatingPointError):
+                training._batch_nll(params, examples, pool)
+            assert finished == [2]
 
     def test_two_shards_match_whole_batch(self):
         config, params, examples = tiny_setup(n_examples=8, seed=6)
         whole_loss, whole_grads = nll_loss(params, examples)
-        with row_shards_on(0.0) as shards:
-            loss, grads = training._batch_nll(params, examples, shards)
-            forward_only, _ = training._batch_nll(params, examples, shards, with_grads=False)
+        with worker_pool() as pool:
+            loss, grads = training._batch_nll(params, examples, pool)
+            forward_only, _ = training._batch_nll(params, examples, pool, with_grads=False)
         assert abs(loss - whole_loss) <= 1e-12 * abs(whole_loss)
         assert abs(forward_only - whole_loss) <= 1e-12 * abs(whole_loss)
         for name, g in whole_grads.items():
@@ -572,8 +557,8 @@ class TestRowShards:
         config, params, examples = tiny_setup(n_examples=5, seed=2)
         whole = nll_loss(params, examples)
         calls = recording_nll(monkeypatch)
-        with row_shards_on(0.0) as shards:
-            loss, grads = training._batch_nll(params, examples, shards)
+        with worker_pool() as pool:
+            loss, grads = training._batch_nll(params, examples, pool)
         assert sorted(calls) == [("MainThread", 3), ("shard-test_0", 2)]
         assert loss == pytest.approx(whole[0], rel=1e-12)
 
@@ -581,8 +566,8 @@ class TestRowShards:
         config, params, examples = tiny_setup(n_examples=1, seed=2)
         whole = nll_loss(params, examples)
         calls = recording_nll(monkeypatch)
-        with row_shards_on(0.0) as shards:
-            result = training._batch_nll(params, examples, shards)
+        with worker_pool() as pool:
+            result = training._batch_nll(params, examples, pool)
         assert calls == [("MainThread", 1)]
         assert_bitwise_equal(result, whole)
 
@@ -597,19 +582,18 @@ class TestRowShards:
         config, examples = TestTrainLoop().small_dataset()
         tcfg = TrainConfig(batch_size=8, max_epochs=2, seed=11)
         monkeypatch.setattr(training, "row_shards", lambda: 2)
-        monkeypatch.setattr(training, "_cpu_set", lambda: {0, 1})
         threads_before = threading.active_count()
         calls = recording_nll(monkeypatch)
-        monkeypatch.setattr(training, "_cpu_sample", fake_sample(0.0))
         threaded = train(config, examples, examples[:7], tcfg)
         assert threading.active_count() == threads_before
         workers = {name for name, _ in calls} - {"MainThread"}
         assert len(workers) == 1  # one worker thread took every second shard
         assert {rows for _, rows in calls} == {4, 3}  # batches of 8 and 7 rows
         calls.clear()
-        monkeypatch.setattr(training, "_cpu_sample", fake_sample(1.0))
+        monkeypatch.setattr(training, "_row_shards", lambda: contextlib.nullcontext(InlineExecutor()))
         inline = train(config, examples, examples[:7], tcfg)
         assert {name for name, _ in calls} == {"MainThread"}
+        assert {rows for _, rows in calls} == {4, 3}  # split the same way
         assert threaded.trace == inline.trace
         assert threaded.best_val_nll == inline.best_val_nll
         for (_, a), (_, b) in zip(threaded.params.checkpoint_items(), inline.params.checkpoint_items()):
@@ -619,7 +603,6 @@ class TestRowShards:
         config, examples = TestTrainLoop().small_dataset()
         tcfg = TrainConfig(batch_size=8, max_epochs=2, seed=11)
         monkeypatch.setattr(training, "row_shards", lambda: 2)
-        monkeypatch.setattr(training, "_cpu_sample", fake_sample(0.0))
         real = training.nll_loss
         poisoned = []
 
