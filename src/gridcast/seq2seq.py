@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import secrets
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, Iterator
@@ -552,7 +551,7 @@ def write_atomic(path: str, prefix: str) -> Iterator[BinaryIO]:
     beside path, renamed over path when the block ends without an error and
     removed when it raises, so path never holds a partial file. The file
     gets the mode a plain open() gives a new one: 0o666 less the umask."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), prefix + secrets.token_hex(8))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), prefix + os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
