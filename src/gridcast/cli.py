@@ -282,6 +282,9 @@ def cmd_predict(
     stages = _Stages()
     params = seq2seq.load_checkpoint(checkpoint_path)
     records = datagen.read_dataset(data_path)
+    if not records:
+        print(f"error: {data_path}: no records to predict", file=sys.stderr)
+        return 2
     obs_len = params.config.obs_len
     for rec in records:
         if rec.frames.shape[0] < obs_len:
@@ -294,9 +297,7 @@ def cmd_predict(
     windows = [rec.frames[-obs_len:] for rec in records]
     stages.lap("read")
     if greedy:
-        # one vehicle at a time: the output is bit-identical to a
-        # single-vehicle beam of width 1
-        per_vehicle = [[seq2seq.greedy_decode(params, seq2seq.encode(params, w), horizon)] for w in windows]
+        per_vehicle = [[h] for h in seq2seq.greedy_scene(params, windows, horizon)]
     else:
         per_vehicle = [p.hypotheses for p in seq2seq.predict_scene(params, windows, beam_width, horizon)]
     stages.lap("decode")
@@ -684,6 +685,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.perturb_gradient)
         if args.command == "predict":
+            if args.greedy and args.beam_width is not None:
+                print("error: pass at most one of --greedy or --beam-width", file=sys.stderr)
+                return 2
             return cmd_predict(
                 args.checkpoint, args.data, args.out, args.beam_width, args.horizon, args.greedy
             )

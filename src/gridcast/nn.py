@@ -113,15 +113,22 @@ def _rows(u: np.ndarray, width: int, what: str) -> np.ndarray:
     return u
 
 
+def _product(u: np.ndarray, w: np.ndarray, row_exact: bool) -> np.ndarray:
+    """u @ w.T. With row_exact, one matrix-vector product per row (numpy's
+    stacked matmul), so each row has the bits a one-row call gives it; a
+    multi-row BLAS gemm may round a row differently by the row count."""
+    return np.matmul(u[:, None, :], w.T)[:, 0] if row_exact else u @ w.T
+
+
 def dense_forward_cached(
-    p: DenseParams, u: np.ndarray, activation: str = "relu"
+    p: DenseParams, u: np.ndarray, activation: str = "relu", row_exact: bool = False
 ) -> tuple[np.ndarray, DenseTape]:
     """activation(u @ weight.T + bias) over (rows, in_dim) inputs, with the
     tape for dense_backward; activation is "relu" or "none"."""
     u = _rows(u, p.in_dim, "dense input")
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
-    out = u @ p.weight.T + p.bias
+    out = _product(u, p.weight, row_exact) + p.bias
     if activation == "none":
         return out, DenseTape(u=u, out=None)
     out = relu(out)
@@ -196,15 +203,16 @@ class LstmTape:
 
 
 def lstm_forward(
-    p: LstmParams, u: np.ndarray, prev: LstmState
+    p: LstmParams, u: np.ndarray, prev: LstmState, row_exact: bool = False
 ) -> tuple[LstmState, LstmTape]:
     """One step of the gate recursion over (rows, input_dim) inputs and a
-    (rows, cell_dim) state; returns the next state and the tape."""
+    (rows, cell_dim) state; returns the next state and the tape. row_exact
+    as for dense_forward_cached."""
     u = _rows(u, p.input_dim, "lstm input")
     cdim = p.cell_dim
     if prev.c.shape != (len(u), cdim) or prev.h.shape != (len(u), cdim):
         raise ShapeError(f"lstm state must be ({len(u)}, {cdim}), got c {prev.c.shape}, h {prev.h.shape}")
-    z = u @ p.w_u.T + prev.h @ p.w_h.T + p.b
+    z = _product(u, p.w_u, row_exact) + _product(prev.h, p.w_h, row_exact) + p.b
     f = sigmoid(z[:, :cdim])
     i = sigmoid(z[:, cdim : 2 * cdim])
     o = sigmoid(z[:, 2 * cdim : 3 * cdim])

@@ -19,7 +19,8 @@ hypothesis of every vehicle in a chunk as one row of a batch: one decoder
 call per step over all rows. Results are bit-identical run to run; replaying
 a hypothesis one row at a time reproduces its cumulative log probability
 within 1e-12 (a batched row product and a single-row product may round
-differently).
+differently). Greedy decoding of many vehicles runs on row-exact products
+instead, so each vehicle gets the bits it gets decoded alone.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "greedy_decode",
     "beam_search_decode",
     "predict_scene",
+    "greedy_scene",
     "save_checkpoint",
     "load_checkpoint",
     "write_atomic",
@@ -59,8 +61,8 @@ __all__ = [
 
 NUM_FEATURES = 6
 
-# vehicles beam-decoded together by predict_scene: bounds the per-step score
-# array at DECODE_CHUNK * beam_width * num_classes floats
+# vehicles decoded together by predict_scene and greedy_scene: bounds the
+# per-step score array at DECODE_CHUNK * beam_width * num_classes floats
 DECODE_CHUNK = 64
 
 
@@ -265,9 +267,10 @@ def encode(params: ModelParams, obs) -> EncoderSummary:
 
 
 def encode_core(
-    params: ModelParams, obs: np.ndarray, with_tapes: bool
+    params: ModelParams, obs: np.ndarray, with_tapes: bool, row_exact: bool = False
 ) -> tuple[EncoderSummary, EncoderTapes | None]:
-    """Encoder forward over (B, M, 6) observations: B windows of M frames."""
+    """Encoder forward over (B, M, 6) observations: B windows of M frames.
+    row_exact: each window's summary has the bits it has encoded alone."""
     obs = np.asarray(obs, dtype=np.float64)
     batch, steps, _ = obs.shape
     states = [LstmState.zeros(batch, params.config.cell_dim) for _ in params.enc_lstm]
@@ -276,11 +279,11 @@ def encode_core(
         u = normalize_features(params, obs[:, t])
         fc_tapes = []
         for fc in params.enc_fc:
-            u, tape = nn.dense_forward_cached(fc, u, "relu")
+            u, tape = nn.dense_forward_cached(fc, u, "relu", row_exact)
             fc_tapes.append(tape)
         lstm_tapes = []
         for k, cell in enumerate(params.enc_lstm):
-            states[k], tape = nn.lstm_forward(cell, u, states[k])
+            states[k], tape = nn.lstm_forward(cell, u, states[k], row_exact)
             lstm_tapes.append(tape)
             u = states[k].h
         if with_tapes:
@@ -332,19 +335,20 @@ def start_input(params: ModelParams, rows: int) -> np.ndarray:
 
 
 def decode_core(
-    params: ModelParams, state: list[LstmState], u: np.ndarray, with_tapes: bool
+    params: ModelParams, state: list[LstmState], u: np.ndarray, with_tapes: bool, row_exact: bool = False
 ) -> tuple[np.ndarray, list[LstmState], DecodeTapes | None]:
-    """One decoder step from an already-embedded input; returns logits."""
+    """One decoder step from an already-embedded input; returns logits.
+    row_exact: each row's logits have the bits a one-row call gives."""
     new_state = list(state)
     lstm_tapes = []
     for k, cell in enumerate(params.dec_lstm):
-        new_state[k], tape = nn.lstm_forward(cell, u, new_state[k])
+        new_state[k], tape = nn.lstm_forward(cell, u, new_state[k], row_exact)
         lstm_tapes.append(tape)
         u = new_state[k].h
     fc_tapes = []
     last = len(params.dec_fc) - 1
     for k, fc in enumerate(params.dec_fc):
-        u, tape = nn.dense_forward_cached(fc, u, "none" if k == last else "relu")
+        u, tape = nn.dense_forward_cached(fc, u, "none" if k == last else "relu", row_exact)
         fc_tapes.append(tape)
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("non-finite decoder logits")
@@ -385,22 +389,39 @@ class TrajectoryPrediction:
 
 def greedy_decode(params: ModelParams, summary: EncoderSummary, horizon: int | None = None) -> BeamHypothesis:
     """Pick the argmax class at every step and feed it back. Decodes the
-    summary's one (1, cell) row, as the beam core does for a single vehicle,
-    so beam width 1 reproduces it bit for bit."""
+    summary's one (1, cell) row, the one-row case of greedy_scene's loop, as
+    the beam core does for a single vehicle, so beam width 1 reproduces it
+    bit for bit."""
     _, steps = _beam_args(params, 1, horizon)
-    state = decoder_initial_state(params, summary)
-    u = start_input(params, 1)
-    seq: list[int] = []
-    log_prob = 0.0
-    for _ in range(steps):
-        if seq:
-            u = embed_tokens(params, np.array(seq[-1:]))
-        logits, state, _ = decode_core(params, state, u, with_tapes=False)
-        lp = nn.log_softmax(logits)[0]
-        q = int(np.argmax(lp)) + 1  # first max <=> lowest class id on ties
-        log_prob += float(lp[q - 1])
-        seq.append(q)
-    return BeamHypothesis(sequence=seq, log_prob=log_prob)
+    rows = decoder_initial_state(params, summary)
+    if len(rows[0].c) != 1:
+        raise nn.ShapeError(f"greedy_decode takes one vehicle's summary, got {len(rows[0].c)} rows")
+    seqs, log_probs = _greedy_rows(params, rows, steps)
+    return BeamHypothesis(sequence=seqs[0].tolist(), log_prob=float(log_probs[0]))
+
+
+def _greedy_rows(
+    params: ModelParams, state: list[LstmState], steps: int, row_exact: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy decoding for N vehicles at once from their N decoder-state
+    rows: every step decodes all rows in one decode_core call, and each row
+    feeds back its argmax class. An argmax loop of its own, not _beam_rows
+    at width 1, so that the beam at width 1 stays an independent check of
+    it. Returns (sequences (N, steps) of
+    flat class ids, log_probs (N,))."""
+    n = state[0].c.shape[0]
+    seqs = np.zeros((n, steps), dtype=np.int64)
+    log_probs = np.zeros(n)
+    u = start_input(params, n)
+    for step in range(steps):
+        if step:
+            u = embed_tokens(params, seqs[:, step - 1])
+        logits, state, _ = decode_core(params, state, u, with_tapes=False, row_exact=row_exact)
+        lp = nn.log_softmax(logits)
+        best = np.argmax(lp, axis=1)  # first max <=> lowest class id on ties
+        log_probs += lp[np.arange(n), best]
+        seqs[:, step] = best + 1
+    return seqs, log_probs
 
 
 def _top_k(scores: np.ndarray, take: int, num_classes: int) -> np.ndarray:
@@ -497,22 +518,41 @@ def predict_scene(params: ModelParams, scenes, beam_width: int | None = None, ho
     shared parameters; output order matches input order. Every window is
     validated first, all are encoded in one batch, and the beam decodes
     DECODE_CHUNK vehicles at a time."""
-    if len(scenes) < 1:
-        raise ValueError("predict_scene needs at least one vehicle")
     k, steps = _beam_args(params, beam_width, horizon)
+    out: list[TrajectoryPrediction] = []
+    for chunk in _scene_chunks(params, scenes, row_exact=False):
+        out += _predictions(*_beam_rows(params, chunk, k, steps))
+    return out
+
+
+def greedy_scene(params: ModelParams, scenes, horizon: int | None = None) -> list[BeamHypothesis]:
+    """Greedy-decode each vehicle's observation window, in input order,
+    batched as predict_scene batches the beam. The products are row-exact,
+    so each vehicle's hypothesis equals greedy_decode(params, encode(params,
+    window)) bit for bit."""
+    _, steps = _beam_args(params, 1, horizon)
+    out: list[BeamHypothesis] = []
+    for chunk in _scene_chunks(params, scenes, row_exact=True):
+        seqs, log_probs = _greedy_rows(params, chunk, steps, row_exact=True)
+        out += [BeamHypothesis(sequence=q, log_prob=lp) for q, lp in zip(seqs.tolist(), log_probs.tolist())]
+    return out
+
+
+def _scene_chunks(params: ModelParams, scenes, row_exact: bool) -> Iterator[list[LstmState]]:
+    """Every window validated, then all encoded in one batch; yields the
+    decoder-state rows of DECODE_CHUNK vehicles at a time."""
+    if len(scenes) < 1:
+        raise ValueError("a scene needs at least one vehicle")
     windows = []
     for n, obs in enumerate(scenes):
         try:
             windows.append(_observation_window(params, obs))
         except ValueError as exc:
             raise ValueError(f"vehicle {n}: {exc}") from exc
-    summary, _ = encode_core(params, np.stack(windows), with_tapes=False)
+    summary, _ = encode_core(params, np.stack(windows), with_tapes=False, row_exact=row_exact)
     state = decoder_initial_state(params, summary)
-    out: list[TrajectoryPrediction] = []
     for lo in range(0, len(windows), DECODE_CHUNK):
-        chunk = [LstmState(c=s.c[lo : lo + DECODE_CHUNK], h=s.h[lo : lo + DECODE_CHUNK]) for s in state]
-        out += _predictions(*_beam_rows(params, chunk, k, steps))
-    return out
+        yield [LstmState(c=s.c[lo : lo + DECODE_CHUNK], h=s.h[lo : lo + DECODE_CHUNK]) for s in state]
 
 
 # ---------------------------------------------------------------------------

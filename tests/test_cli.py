@@ -230,6 +230,31 @@ class TestPipeline:
                 [h.log_prob for h in single], abs=1e-12
             )
 
+    def test_predict_greedy_at_cell_128_equals_per_vehicle_decoding(self, tmp_path):
+        # more vehicles than one DECODE_CHUNK, at the cell-128 layer shapes
+        # where a multi-row gemm would round rows differently from one row
+        data, ckpt, out = str(tmp_path / "data.jsonl"), str(tmp_path / "model.ckpt"), str(tmp_path / "pred.jsonl")
+        assert main(["datagen", "--out", data, "--seed", "21", "--set", "data.n_scenarios=14",
+                     "--set", "data.frames_per_record=51"]) == 0
+        records = datagen.read_dataset(data)
+        assert len(records) > seq2seq.DECODE_CHUNK
+        params = seq2seq.init_model_params(seq2seq.ModelConfig(cell_dim=128, obs_len=30, horizon=10), seed=21)
+        windows, _ = training.crop_windows(records, 30, 10, params.config.grid)
+        training.fit_normalizer(params, windows)
+        seq2seq.save_checkpoint(params, ckpt)
+        assert main(["predict", "--checkpoint", ckpt, "--data", data, "--out", out, "--greedy"]) == 0
+        expected = []
+        for rec in records:
+            hyp = seq2seq.greedy_decode(params, seq2seq.encode(params, rec.frames[-30:]))
+            cells = [ogm.unflatten(q, params.config.grid) for q in hyp.sequence]
+            obj = {
+                "scenario_id": rec.scenario_id,
+                "vehicle_id": rec.vehicle_id,
+                "hypotheses": [{"log_prob": hyp.log_prob, "cells": [[c.w, c.l] if c.in_map else None for c in cells]}],
+            }
+            expected.append(json.dumps(obj) + "\n")
+        assert open(out, "rb").read() == "".join(expected).encode("utf-8")
+
     def test_predict_too_few_frames_errors(self, workdir, tmp_path, capsys):
         short = os.path.join(tmp_path, "short.jsonl")
         with open(short, "w") as f:
@@ -445,6 +470,23 @@ class TestBadInput:
         assert rc == 2
         assert "beam width and horizon must be >= 1" in capsys.readouterr().err
         assert not any(name.startswith(("pred", ".predict-")) for name in os.listdir(tmp_path))
+
+    def test_predict_greedy_with_beam_width_rejected(self, workdir, tmp_path, capsys):
+        out = str(tmp_path / "pred.jsonl")
+        rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--out", out,
+                   "--greedy", "--beam-width", "5"])
+        assert rc == 2
+        assert "error: pass at most one of --greedy or --beam-width" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("mode", [[], ["--greedy"]])
+    def test_predict_empty_dataset(self, workdir, tmp_path, capsys, mode):
+        data = str(tmp_path / "empty.jsonl")
+        open(data, "w").close()
+        rc = main(["predict", "--checkpoint", workdir["ckpt"], "--data", data, "--out", str(tmp_path / "pred.jsonl")] + mode)
+        assert rc == 2
+        assert f"error: {data}: no records to predict" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["empty.jsonl"]
 
     def test_train_leaves_no_metrics_file_when_the_write_fails(self, workdir, tmp_path, capsys):
         real_replace = os.replace

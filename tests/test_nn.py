@@ -199,6 +199,37 @@ class TestLstmForward:
         assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.h, s2.h)
 
 
+class TestRowExact:
+    """row_exact gives every row the bits of a one-row call. The shapes are
+    the cell-128 layers (encoder input, hidden dense, stacked gates, 757-way
+    head): there a multi-row gemm rounds rows differently from a one-row
+    product, while at tiny dims the two may agree by chance."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 70])
+    @pytest.mark.parametrize("out_dim,in_dim", [(128, 6), (128, 128), (757, 128)])
+    def test_dense_rows_equal_one_row_calls(self, out_dim, in_dim, rows):
+        rng = np.random.default_rng([out_dim, in_dim, rows])
+        p = nn.init_dense(rng, out_dim, in_dim)
+        p.bias[...] = rng.uniform(-0.1, 0.1, size=out_dim)
+        u = rng.standard_normal((rows, in_dim))
+        for activation in ("relu", "none"):
+            batched, _ = nn.dense_forward_cached(p, u, activation, row_exact=True)
+            single = [dense(p, u[r : r + 1], activation) for r in range(rows)]
+            assert np.array_equal(batched, np.concatenate(single))
+
+    @pytest.mark.parametrize("rows", [1, 2, 70])
+    def test_lstm_rows_equal_one_row_calls(self, rows):
+        rng = np.random.default_rng([512, 128, rows])
+        p = nn.init_lstm(rng, 128, 128)
+        u = rng.standard_normal((rows, 128))
+        prev = nn.LstmState(c=rng.standard_normal((rows, 128)), h=rng.standard_normal((rows, 128)))
+        batched, _ = nn.lstm_forward(p, u, prev, row_exact=True)
+        for r in range(rows):
+            one, _ = nn.lstm_forward(p, u[r : r + 1], nn.LstmState(c=prev.c[r : r + 1], h=prev.h[r : r + 1]))
+            assert np.array_equal(batched.c[r : r + 1], one.c)
+            assert np.array_equal(batched.h[r : r + 1], one.h)
+
+
 def lstm_chain_loss(p, inputs, target):
     """Forward a step chain and 0.5*||h_T - target||^2 with its gradient."""
     state = nn.LstmState.zeros(1, p.cell_dim)

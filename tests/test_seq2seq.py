@@ -318,7 +318,7 @@ class TestBeamSearch:
         summary, _ = seq2seq.encode_core(params, np.zeros((2, 3, 6)), with_tapes=False)
         with pytest.raises(nn.ShapeError, match="2 rows"):
             beam_search_decode(params, summary)
-        with pytest.raises(nn.ShapeError):
+        with pytest.raises(nn.ShapeError, match="2 rows"):
             greedy_decode(params, summary)
 
     def test_deterministic_across_runs(self):
@@ -402,6 +402,67 @@ class TestPredictScene:
             assert [h.sequence for h in pred.hypotheses] == [h.sequence for h in single.hypotheses]
             for a, b in zip(pred.hypotheses, single.hypotheses):
                 assert abs(a.log_prob - b.log_prob) <= 1e-12
+
+
+def per_vehicle_greedy(params, scene, horizon=None):
+    return [greedy_decode(params, encode(params, obs), horizon) for obs in scene]
+
+
+class TestGreedyScene:
+    """greedy_scene decodes a scene as rows; each vehicle's hypothesis must
+    equal its own greedy_decode bit for bit (sequence and log_prob ==)."""
+
+    def test_one_vehicle_one_step(self):
+        config, params = tiny_model(seed=40)
+        scene = [np.random.default_rng(40).standard_normal((3, 6))]
+        assert seq2seq.greedy_scene(params, scene, horizon=1) == per_vehicle_greedy(params, scene, horizon=1)
+
+    def test_ties_pick_the_lowest_class_id(self):
+        # constant logits ln(0.1, 0.4, 0.4, 0.1): classes 2 and 3 tie at every step
+        config, params = tiny_model(cell_dim=4, q_w=3, q_l=1, obs_len=2, horizon=3, randomize=False)
+        for _, a in params.param_items():
+            a[...] = 0.0
+        params.dec_fc[-1].bias[...] = np.log([0.1, 0.4, 0.4, 0.1])
+        scene = [np.random.default_rng(n).standard_normal((2, 6)) for n in range(3)]
+        got = seq2seq.greedy_scene(params, scene)
+        assert [h.sequence for h in got] == [[2, 2, 2]] * 3
+        assert got == per_vehicle_greedy(params, scene)
+
+    def test_scene_above_the_chunk_size(self):
+        config, params = tiny_model(seed=41, horizon=4)
+        rng = np.random.default_rng(41)
+        scene = [rng.standard_normal((3, 6)) for _ in range(7)]
+        with mock.patch.object(seq2seq, "DECODE_CHUNK", 3):
+            got = seq2seq.greedy_scene(params, scene)
+        assert got == per_vehicle_greedy(params, scene)
+
+    def test_error_names_vehicle(self):
+        config, params = tiny_model(obs_len=3)
+        with pytest.raises(ValueError, match="vehicle 1"):
+            seq2seq.greedy_scene(params, [np.zeros((3, 6)), np.zeros((2, 6))])
+        with pytest.raises(ValueError):
+            seq2seq.greedy_scene(params, [])
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        q_w=st.integers(1, 3),
+        q_l=st.integers(1, 3),
+        horizon=st.integers(1, 3),
+        vehicles=st.integers(1, 7),
+        chunk=st.integers(1, 3),
+        constant_logits=st.booleans(),
+    )
+    def test_batched_equals_per_vehicle_greedy(self, seed, q_w, q_l, horizon, vehicles, chunk, constant_logits):
+        config, params = tiny_model(q_w=q_w, q_l=q_l, obs_len=2, horizon=horizon, seed=seed)
+        if constant_logits:
+            params.dec_fc[-1].weight[...] = 0.0
+            params.dec_fc[-1].bias[...] = 0.0
+        rng = np.random.default_rng(seed)
+        scene = [rng.standard_normal((2, 6)) for _ in range(vehicles)]
+        with mock.patch.object(seq2seq, "DECODE_CHUNK", chunk):
+            got = seq2seq.greedy_scene(params, scene)
+        assert got == per_vehicle_greedy(params, scene)
 
 
 class TestModelParamsCopy:
