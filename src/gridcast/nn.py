@@ -124,7 +124,8 @@ def dense_forward_cached(
     p: DenseParams, u: np.ndarray, activation: str = "relu", row_exact: bool = False
 ) -> tuple[np.ndarray, DenseTape]:
     """activation(u @ weight.T + bias) over (rows, in_dim) inputs, with the
-    tape for dense_backward; activation is "relu" or "none"."""
+    tape for dense_backward; activation is "relu" or "none". row_exact
+    gives every row the bits of a one-row call (see _product)."""
     u = _rows(u, p.in_dim, "dense input")
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
