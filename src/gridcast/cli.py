@@ -203,20 +203,26 @@ def _split_records(records, manifest):
 
 
 def cmd_datagen(cfg: RunConfig, out_path: str) -> int:
+    stages = _Stages()
     records, manifest = datagen.generate_dataset(cfg.data)
+    stages.lap("generate")
     try:
         datagen.write_dataset(records, out_path)
         datagen.write_manifest(manifest, out_path)
     except OSError as exc:
         print(f"error: writing {out_path}: {exc}", file=sys.stderr)
         return 2
+    stages.lap("write")
     by_split = _split_records(records, manifest)
     print(f"wrote {len(records)} sequences to {out_path}")
     for name in ("train", "val", "test"):
         recs = by_split[name]
-        windows, skipped = training.crop_windows(recs, cfg.model.obs_len, cfg.model.horizon, cfg.model.grid)
+        counts = [training.window_count(rec.frames.shape[0], cfg.model.obs_len, cfg.model.horizon) for rec in recs]
+        skipped = counts.count(0)
         note = f" ({skipped} records too short)" if skipped else ""
-        print(f"  {name}: {len(recs)} sequences, {len(windows)} usable windows{note}")
+        print(f"  {name}: {len(recs)} sequences, {sum(counts)} usable windows{note}")
+    stages.lap("count")
+    stages.report("datagen", "records", len(records))
     return 0
 
 
@@ -317,14 +323,7 @@ def cmd_predict(
         f.write("".join(lines).encode("utf-8"))
     print(f"wrote predictions for {len(records)} vehicles to {out_path}")
     stages.lap("write")
-    total = sum(stages.seconds.values())
-    telemetry = {
-        "command": "predict",
-        "stage_s": {name: round(sec, 6) for name, sec in stages.seconds.items()},
-        "vehicles": len(records),
-        "vehicles_per_s": round(len(records) / total, 3),
-    }
-    print(json.dumps(telemetry), file=sys.stderr)
+    stages.report("predict", "vehicles", len(records))
     return 0
 
 
@@ -340,6 +339,18 @@ class _Stages:
         now = time.perf_counter()
         self.seconds[name] = now - self._start
         self._start = now
+
+    def report(self, command: str, items: str, count: int, **extra) -> None:
+        """One JSON line on stderr: the stage seconds, the count of items
+        the command processed and their rate over all stages, then extra."""
+        telemetry = {
+            "command": command,
+            "stage_s": {name: round(sec, 6) for name, sec in self.seconds.items()},
+            items: count,
+            f"{items}_per_s": round(count / sum(self.seconds.values()), 3),
+            **extra,
+        }
+        print(json.dumps(telemetry), file=sys.stderr)
 
 
 def cmd_eval(
@@ -377,11 +388,8 @@ def cmd_eval(
     inputs = [w.inputs for w in test_windows]
     stages.lap("crop")
     if use_kalman:
-        predictions = []
-        for lo in range(0, len(inputs), seq2seq.DECODE_CHUNK):
-            rows = np.stack(inputs[lo : lo + seq2seq.DECODE_CHUNK])
-            classes = kalman.kf_forecast_rows(rows, cfg.kalman, model_cfg.horizon, grid)
-            predictions += [seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(q, 0.0)]) for q in classes.tolist()]
+        classes = kalman.kf_forecast_rows(np.stack(inputs), cfg.kalman, model_cfg.horizon, grid)
+        predictions = [seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(q, 0.0)]) for q in classes.tolist()]
         stages.lap("forecast")
     else:
         predictions = seq2seq.predict_scene(params, inputs)
@@ -396,15 +404,7 @@ def cmd_eval(
         f.write(series.encode("utf-8"))
     print(f"series written to {series_path}")
     stages.lap("write")
-    total = sum(stages.seconds.values())
-    telemetry = {
-        "command": "eval",
-        "stage_s": {name: round(sec, 6) for name, sec in stages.seconds.items()},
-        "windows": len(test_windows),
-        "windows_per_s": round(len(test_windows) / total, 3),
-        "records_too_short": too_short,
-    }
-    print(json.dumps(telemetry), file=sys.stderr)
+    stages.report("eval", "windows", len(test_windows), records_too_short=too_short)
     return 0
 
 

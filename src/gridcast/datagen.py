@@ -124,12 +124,15 @@ def _ou_series(rng: np.random.Generator, n: int, stationary_std: float, theta: f
     """Mean-zero Ornstein-Uhlenbeck samples at FRAME_DT spacing."""
     rho = math.exp(-theta * FRAME_DT)
     innovation = stationary_std * math.sqrt(1.0 - rho * rho)
-    out = np.empty(n)
-    value = stationary_std * rng.standard_normal() if stationary_std > 0 else 0.0
-    for k in range(n):
-        out[k] = value
-        value = rho * value + innovation * rng.standard_normal()
-    return out
+    # one array draw is the stream of the scalar draws it replaces: the
+    # initial value's (only with a non-zero std), then one per step
+    normals = rng.standard_normal(n + 1 if stationary_std > 0 else n).tolist()
+    value = stationary_std * normals.pop(0) if stationary_std > 0 else 0.0
+    out = []
+    for z in normals:
+        out.append(value)
+        value = rho * value + innovation * z
+    return np.array(out)
 
 
 def _lane_center(lane: int, config: ScenarioConfig) -> float:
@@ -142,11 +145,12 @@ def _ego_track(rng: np.random.Generator, config: ScenarioConfig, n: int):
     yaw_rate = _ou_series(rng, n, config.ego_yaw_std, theta=1.0)
     heading = np.concatenate([[0.0], np.cumsum(yaw_rate[:-1] * FRAME_DT)])
     ego_lane = (config.lane_count - 1) // 2
-    pos = np.empty((n, 2))
-    pos[0] = (0.0, _lane_center(ego_lane, config))
-    for k in range(1, n):
-        step = speed * FRAME_DT
-        pos[k] = pos[k - 1] + step * np.array([math.cos(heading[k - 1]), math.sin(heading[k - 1])])
+    step = speed * FRAME_DT
+    # math.cos/sin, not np.cos/sin, whose last bit may differ; add.accumulate
+    # sums the steps in frame order
+    steps = [(0.0, _lane_center(ego_lane, config))]
+    steps += [(step * math.cos(h), step * math.sin(h)) for h in heading[:-1].tolist()]
+    pos = np.add.accumulate(np.array(steps), axis=0)
     return speed, yaw_rate, heading, pos, ego_lane
 
 
@@ -274,7 +278,7 @@ def write_dataset(records: list[TrajectoryRecord], path: str) -> None:
             obj = {
                 "scenario_id": rec.scenario_id,
                 "vehicle_id": rec.vehicle_id,
-                "frames": [[float(v) for v in row] for row in rec.frames],
+                "frames": rec.frames.tolist(),
             }
             f.write((json.dumps(obj) + "\n").encode("utf-8"))
 
@@ -322,8 +326,27 @@ def write_manifest(manifest: dict, dataset_path: str) -> None:
 
 
 def read_manifest(dataset_path: str) -> dict:
+    """The manifest beside dataset_path; it must hold the three splits as
+    lists of integer scenario ids."""
     path = manifest_path(dataset_path)
     if not os.path.exists(path):
         raise DatasetFormatError(f"missing manifest {path}")
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{path}: manifest must be a JSON object")
+    if "splits" not in manifest:
+        raise DatasetFormatError(f"{path}: missing field 'splits'")
+    splits = manifest["splits"]
+    if not isinstance(splits, dict):
+        raise DatasetFormatError(f"{path}: field 'splits' must be an object, got {splits!r}")
+    for name in ("train", "val", "test"):
+        if name not in splits:
+            raise DatasetFormatError(f"{path}: missing field 'splits.{name}'")
+        ids = splits[name]
+        if not isinstance(ids, list) or not all(isinstance(i, int) and not isinstance(i, bool) for i in ids):
+            raise DatasetFormatError(f"{path}: field 'splits.{name}' must be a list of integer scenario ids, got {ids!r}")
+    return manifest

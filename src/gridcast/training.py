@@ -44,6 +44,7 @@ __all__ = [
     "TrainingExample",
     "AdamState",
     "TrainingDiverged",
+    "window_count",
     "crop_windows",
     "fit_normalizer",
     "nll_loss",
@@ -104,6 +105,12 @@ class TrainingDiverged(RuntimeError):
         self.trace = trace
 
 
+def window_count(frames: int, obs_len: int, horizon: int) -> int:
+    """How many stride-1 windows of obs_len frames plus horizon labels a
+    record of this many frames holds; 0 for a record too short for one."""
+    return max(0, frames - (obs_len + LABEL_STRIDE * horizon) + 1)
+
+
 def crop_windows(records, obs_len: int, horizon: int, grid: ogm.GridSpec) -> tuple[list[TrainingExample], int]:
     """Every stride-1 window of obs_len frames plus horizon labels from each
     record (anything with a .frames (F, 6) array, or the array itself).
@@ -112,14 +119,13 @@ def crop_windows(records, obs_len: int, horizon: int, grid: ogm.GridSpec) -> tup
     outside sensor validity become the out-of-map class and are kept. Returns
     (examples, count of records too short for a single window).
     """
-    need = obs_len + LABEL_STRIDE * horizon
     steps = LABEL_STRIDE * np.arange(horizon)
     examples: list[TrainingExample] = []
     skipped = 0
     for rec in records:
         frames = np.asarray(getattr(rec, "frames", rec), dtype=np.float64)
-        count = frames.shape[0] - need + 1
-        if count < 1:
+        count = window_count(frames.shape[0], obs_len, horizon)
+        if not count:
             skipped += 1
             continue
         # window s labels frame obs_len + 1 + s + 2j: with two or more

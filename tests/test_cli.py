@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -169,6 +170,43 @@ class TestPipeline:
         windows = int(train_line.split(",")[1].split()[0])
         assert 1100 <= windows <= 1700
 
+    def test_datagen_counts_equal_the_cropped_windows(self, tmp_path, capsys):
+        real = datagen.generate_dataset
+
+        def with_short_records(config):
+            records, manifest = real(config)
+            records[0].frames = records[0].frames[:15]  # one frame short of a window
+            records[3].frames = records[3].frames[:17]  # two windows
+            return records, manifest
+
+        data = str(tmp_path / "data.jsonl")
+        with mock.patch.object(datagen, "generate_dataset", with_short_records):
+            assert main(["datagen", "--out", data, "--seed", "3"] + toy_args()) == 0
+        out = capsys.readouterr().out
+        records, splits = datagen.read_dataset(data), datagen.read_manifest(data)["splits"]
+        grid = load_run_config(None, TOY).model.grid
+        expected = [f"wrote {len(records)} sequences to {data}"]
+        for name in ("train", "val", "test"):
+            recs = [r for r in records if r.scenario_id in splits[name]]
+            windows, too_short = training.crop_windows(recs, 10, 3, grid)
+            note = f" ({too_short} records too short)" if too_short else ""
+            expected.append(f"  {name}: {len(recs)} sequences, {len(windows)} usable windows{note}")
+        assert out == "\n".join(expected) + "\n"
+        assert out.count("(1 records too short)") == 1
+
+    def test_datagen_telemetry_line(self, workdir, tmp_path, capsys):
+        data = str(tmp_path / "data.jsonl")
+        assert main(["datagen", "--out", data, "--seed", "3"] + toy_args()) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == f"wrote 16 sequences to {data}"
+        [line] = captured.err.splitlines()
+        telemetry = json.loads(line)
+        assert telemetry["command"] == "datagen"
+        assert list(telemetry["stage_s"]) == ["generate", "write", "count"]
+        assert all(v >= 0 for v in telemetry["stage_s"].values())
+        assert telemetry["records"] == 16
+        assert telemetry["records_per_s"] > 0
+
     def test_checkpoint_loadable_and_metrics_written(self, workdir):
         params = seq2seq.load_checkpoint(workdir["ckpt"])
         assert params.config.cell_dim == 8
@@ -279,6 +317,19 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "Omega=1" in out
         assert "Omega=3" not in out
+
+    def test_eval_kalman_forecasts_all_windows_in_one_call(self, workdir, tmp_path, capsys):
+        series = str(tmp_path / "series.csv")
+        argv = ["eval", "--kalman", "--data", workdir["data"], "--out-series", series] + toy_args()
+        assert main(argv) == 0
+        expected = capsys.readouterr().out, (tmp_path / "series.csv").read_bytes()
+        # a decode chunk smaller than the test split does not split the forecast
+        with mock.patch.object(seq2seq, "DECODE_CHUNK", 3), \
+                mock.patch.object(kalman, "kf_forecast_rows", wraps=kalman.kf_forecast_rows) as forecast:
+            assert main(argv) == 0
+        [call] = forecast.call_args_list
+        assert call.args[0].shape == (10, 10, 6)  # one test scenario: 2 vehicles x 5 windows
+        assert (capsys.readouterr().out, (tmp_path / "series.csv").read_bytes()) == expected
 
     def test_eval_requires_exactly_one_source(self, workdir, capsys):
         rc = main(["eval", "--data", workdir["data"]] + toy_args())
@@ -502,6 +553,31 @@ class TestBadInput:
         assert rc == 2
         assert "disk full" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{}", "missing field 'splits'"),
+            ('{"splits": {"train": [0], "val": [1]}}', "missing field 'splits.test'"),
+            ("[]", "manifest must be a JSON object"),
+            ('{"splits": {"train": "abc", "val": [1], "test": [2]}}', "field 'splits.train' must be a list of integer"),
+            ("not json", "invalid JSON"),
+        ],
+        ids=["empty", "no-test", "list", "string-ids", "invalid-json"],
+    )
+    def test_malformed_manifest_exits_2(self, workdir, tmp_path, capsys, command, text, field):
+        data = str(tmp_path / "data.jsonl")
+        shutil.copyfile(workdir["data"], data)
+        (tmp_path / "data.jsonl.manifest.json").write_text(text, encoding="utf-8")
+        if command == "eval":
+            argv = ["eval", "--kalman", "--data", data, "--out-series", str(tmp_path / "series.csv")]
+        else:
+            argv = ["train", "--data", data, "--out", str(tmp_path / "model.ckpt")]
+        assert main(argv + toy_args()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}.manifest.json: {field}")
+        assert sorted(os.listdir(tmp_path)) == ["data.jsonl", "data.jsonl.manifest.json"]
 
     def test_datagen_keeps_the_old_dataset_when_the_rename_fails(self, tmp_path, capsys):
         data = str(tmp_path / "data.jsonl")

@@ -1,14 +1,18 @@
 """Synthetic generator: quintic profile math, frame consistency, determinism,
 persistence round trips, split discipline."""
 
+import hashlib
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from gridcast import ogm
 from gridcast.datagen import (
+    FRAME_DT,
     DatasetFormatError,
     ScenarioConfig,
     generate_dataset,
@@ -18,6 +22,8 @@ from gridcast.datagen import (
     read_manifest,
     write_dataset,
     write_manifest,
+    _ego_track,
+    _ou_series,
 )
 
 
@@ -74,6 +80,53 @@ class TestScenarioConfig:
 SMALL = ScenarioConfig(n_scenarios=6, vehicles_per_scenario=3, frames_per_record=55, seed=3)
 
 
+def ou_series_reference(rng, n, stationary_std, theta):
+    """The scalar-draw loop: one standard_normal() call per value."""
+    rho = math.exp(-theta * FRAME_DT)
+    innovation = stationary_std * math.sqrt(1.0 - rho * rho)
+    out = np.empty(n)
+    value = stationary_std * rng.standard_normal() if stationary_std > 0 else 0.0
+    for k in range(n):
+        out[k] = value
+        value = rho * value + innovation * rng.standard_normal()
+    return out
+
+
+def ego_track_reference(rng, config, n):
+    """The per-frame loop: each position is the previous one plus a step."""
+    speed = rng.uniform(config.speed_min, config.speed_max)
+    yaw_rate = ou_series_reference(rng, n, config.ego_yaw_std, theta=1.0)
+    heading = np.concatenate([[0.0], np.cumsum(yaw_rate[:-1] * FRAME_DT)])
+    ego_lane = (config.lane_count - 1) // 2
+    pos = np.empty((n, 2))
+    pos[0] = (0.0, (ego_lane - (config.lane_count - 1) / 2.0) * config.lane_width)
+    for k in range(1, n):
+        step = speed * FRAME_DT
+        pos[k] = pos[k - 1] + step * np.array([math.cos(heading[k - 1]), math.sin(heading[k - 1])])
+    return speed, yaw_rate, heading, pos, ego_lane
+
+
+class TestAgainstLoops:
+    """The array forms produce the loops' bits and leave the generator where
+    the loops leave it."""
+
+    @pytest.mark.parametrize("std", [0.0, 0.004, 0.7])
+    def test_ou_series(self, std):
+        a, b = np.random.default_rng([4, 1]), np.random.default_rng([4, 1])
+        assert _ou_series(a, 62, std, 1.0).tobytes() == ou_series_reference(b, 62, std, 1.0).tobytes()
+        assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("lane_count, yaw_std", [(3, 0.004), (2, 0.05), (4, 0.0)])
+    def test_ego_track(self, lane_count, yaw_std):
+        config = ScenarioConfig(lane_count=lane_count, ego_yaw_std=yaw_std)
+        a, b = np.random.default_rng([9, 2]), np.random.default_rng([9, 2])
+        got, expected = _ego_track(a, config, 62), ego_track_reference(b, config, 62)
+        assert got[0] == expected[0] and got[4] == expected[4]
+        for x, y in zip(got[1:4], expected[1:4]):
+            assert x.tobytes() == y.tobytes()
+        assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+
+
 class TestGenerateDataset:
     def test_record_shape_and_count(self):
         records, manifest = generate_dataset(SMALL)
@@ -89,6 +142,45 @@ class TestGenerateDataset:
         write_dataset(generate_dataset(SMALL)[0], p1)
         write_dataset(generate_dataset(SMALL)[0], p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    # sha256 of the dataset and manifest bytes as written before generation
+    # and writing were vectorized: a change to the random stream, to the
+    # float arithmetic or to the formatting fails here
+    GOLDEN = {
+        "ou_noise": (
+            ScenarioConfig(n_scenarios=6, vehicles_per_scenario=4, frames_per_record=51, seed=5),
+            "d38bed3e7f7434819cc0ef446fbf9e8d13ae017957fcec9be6cc92388d937fd8",
+            "f21d80911a8048cdb90f715ce14f5cd4a3f5b39568132b8486bb7af718fe38a8",
+        ),
+        "zero_ou_noise": (
+            ScenarioConfig(
+                n_scenarios=6, vehicles_per_scenario=4, frames_per_record=51, seed=5,
+                ego_yaw_std=0.0, speed_jitter_std=0.0,
+            ),
+            "51f12ac3ca91ea292529c6c73d8d7a82bb8d425af64163cbde35ade8a8b1e1de",
+            "c538484cbbf039eeb6f3e0569b28dd5d25ffe1b41fc8011bbc8bfbfc3e87c3fc",
+        ),
+        # the ego starts off the road axis and turns by up to ~0.1 rad/s
+        "two_lanes_strong_yaw": (
+            ScenarioConfig(
+                n_scenarios=6, vehicles_per_scenario=4, frames_per_record=51, seed=5,
+                lane_count=2, ego_yaw_std=0.05,
+            ),
+            "db568149d96ed6b953130225a44ea20d9db78884ed1821f0f0a2ae8a59ed30bc",
+            "8a2462d706ec7190f37483395a55aecd41413877d28ba2baae76cdf735ad4049",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, name):
+        config, dataset_sha, manifest_sha = self.GOLDEN[name]
+        records, manifest = generate_dataset(config)
+        path = os.path.join(tmp_path, "data.jsonl")
+        write_dataset(records, path)
+        write_manifest(manifest, path)
+        digest = lambda p: hashlib.sha256(open(p, "rb").read()).hexdigest()
+        assert digest(path) == dataset_sha
+        assert digest(path + ".manifest.json") == manifest_sha
 
     def test_seed_changes_data(self):
         a, _ = generate_dataset(SMALL)
@@ -248,3 +340,24 @@ class TestPersistence:
     def test_missing_manifest_reported(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="manifest"):
             read_manifest(os.path.join(tmp_path, "nothing.jsonl"))
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{}", "missing field 'splits'"),
+            ('{"splits": [0, 1]}', "field 'splits' must be an object"),
+            ('{"splits": {"train": [0], "val": [1]}}', "missing field 'splits.test'"),
+            ("[]", "manifest must be a JSON object"),
+            ('{"splits": {"train": "abc", "val": [1], "test": [2]}}', "field 'splits.train' must be a list of integer"),
+            ('{"splits": {"train": [0], "val": [1.5], "test": [2]}}', "field 'splits.val' must be a list of integer"),
+            ('{"splits": {"train": [0], "val": [1], "test": [true]}}', "field 'splits.test' must be a list of integer"),
+            ("{broken", "invalid JSON"),
+        ],
+        ids=["empty", "splits-list", "no-test", "list", "string-ids", "float-id", "bool-id", "invalid-json"],
+    )
+    def test_malformed_manifest_names_path_and_field(self, tmp_path, text, field):
+        path = os.path.join(tmp_path, "data.jsonl")
+        with open(path + ".manifest.json", "w") as f:
+            f.write(text)
+        with pytest.raises(DatasetFormatError, match=rf"data\.jsonl\.manifest\.json: {re.escape(field)}"):
+            read_manifest(path)

@@ -26,6 +26,7 @@ from gridcast.training import (
     lr_on_plateau,
     nll_loss,
     train,
+    window_count,
 )
 
 
@@ -257,6 +258,12 @@ class TestCropWindows:
     def test_short_record_skipped_and_counted(self):
         examples, skipped = crop_windows([self.make_record(49)], 30, 10, self.GRID)
         assert examples == [] and skipped == 1
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 49, 50, 51, 64])
+    def test_window_count_is_the_crop_count(self, n_frames):
+        examples, skipped = crop_windows([self.make_record(n_frames)], 30, 10, self.GRID)
+        assert window_count(n_frames, 30, 10) == len(examples)
+        assert skipped == (len(examples) == 0)
 
     def test_labels_quantize_every_second_frame(self):
         frames = self.make_record(50, x0=30.0, vx=2.0)
