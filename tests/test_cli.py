@@ -194,7 +194,7 @@ class TestPipeline:
         assert out == "\n".join(expected) + "\n"
         assert out.count("(1 records too short)") == 1
 
-    def test_datagen_telemetry_line(self, workdir, tmp_path, capsys):
+    def test_datagen_telemetry_line(self, tmp_path, capsys):
         data = str(tmp_path / "data.jsonl")
         assert main(["datagen", "--out", data, "--seed", "3"] + toy_args()) == 0
         captured = capsys.readouterr()

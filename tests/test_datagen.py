@@ -143,9 +143,8 @@ class TestGenerateDataset:
         write_dataset(generate_dataset(SMALL)[0], p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    # sha256 of the dataset and manifest bytes as written before generation
-    # and writing were vectorized: a change to the random stream, to the
-    # float arithmetic or to the formatting fails here
+    # sha256 of the dataset and manifest bytes: a change to the random
+    # stream, to the float arithmetic or to the formatting fails here
     GOLDEN = {
         "ou_noise": (
             ScenarioConfig(n_scenarios=6, vehicles_per_scenario=4, frames_per_record=51, seed=5),
