@@ -12,7 +12,6 @@ from .seq2seq import (
     CheckpointError,
     ModelConfig,
     ModelParams,
-    Observation,
     TrajectoryPrediction,
     beam_search_decode,
     decode_step,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "TrajectoryRecord",
     "DatasetFormatError",
     "quintic_profile",
-    "quintic_profile_rate",
     "generate_dataset",
     "write_dataset",
     "read_dataset",
@@ -92,14 +91,11 @@ class ScenarioConfig:
 
 @dataclass(eq=False)
 class TrajectoryRecord:
-    """One surrounding vehicle's observation sequence at 100 ms spacing.
-    world_xy (the vehicle's true world positions) is debugging-only and is
-    not persisted."""
+    """One surrounding vehicle's observation sequence at 100 ms spacing."""
 
     scenario_id: int
     vehicle_id: int
     frames: np.ndarray  # (F, 6): v, yaw_rate, x, y, vx, vy
-    world_xy: np.ndarray | None = field(default=None, repr=False)
 
 
 class DatasetFormatError(ValueError):
@@ -111,13 +107,6 @@ def quintic_profile(tau: np.ndarray) -> np.ndarray:
     acceleration at both ends."""
     t = np.clip(tau, 0.0, 1.0)
     return 10.0 * t**3 - 15.0 * t**4 + 6.0 * t**5
-
-
-def quintic_profile_rate(tau: np.ndarray) -> np.ndarray:
-    """d/dtau of quintic_profile (zero outside [0, 1])."""
-    t = np.asarray(tau, dtype=np.float64)
-    inside = (t >= 0.0) & (t <= 1.0)
-    return np.where(inside, 30.0 * t**2 - 60.0 * t**3 + 30.0 * t**4, 0.0)
 
 
 def _ou_series(rng: np.random.Generator, n: int, stationary_std: float, theta: float) -> np.ndarray:
@@ -227,7 +216,7 @@ def _relative_frames(
     return frames
 
 
-def generate_dataset(config: ScenarioConfig, n_scenarios: int | None = None):
+def generate_dataset(config: ScenarioConfig):
     """All scenarios' records plus the split manifest.
 
     Scenario k uses its own generator seeded from (config.seed, k), so
@@ -235,7 +224,7 @@ def generate_dataset(config: ScenarioConfig, n_scenarios: int | None = None):
     Returns (records, manifest) where manifest carries the config and the
     train/val/test scenario-id splits (split by scenario, never by window).
     """
-    count = config.n_scenarios if n_scenarios is None else n_scenarios
+    count = config.n_scenarios
     if count < 3:
         raise ValueError("need at least 3 scenarios to populate all three splits")
     records: list[TrajectoryRecord] = []
@@ -248,7 +237,7 @@ def generate_dataset(config: ScenarioConfig, n_scenarios: int | None = None):
             frames = _relative_frames(
                 ego_speed, ego_yaw, ego_heading, ego_pos, world, config.noise_std, rng
             )
-            records.append(TrajectoryRecord(scenario_id=sid, vehicle_id=vid, frames=frames, world_xy=world))
+            records.append(TrajectoryRecord(scenario_id=sid, vehicle_id=vid, frames=frames))
 
     split_rng = np.random.default_rng([config.seed, 0xBEEF])
     order = list(split_rng.permutation(count))

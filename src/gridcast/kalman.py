@@ -23,13 +23,11 @@ from . import ogm
 __all__ = [
     "KalmanState",
     "CvModel",
-    "kf_init",
     "kf_predict",
     "kf_update",
     "gain_schedule",
     "kf_filter_rows",
     "kf_forecast_rows",
-    "kf_filter_window",
     "kf_forecast",
 ]
 
@@ -100,10 +98,6 @@ class CvModel:
         return _white_accel_noise(self.dt, self.sigma_a)
 
     @property
-    def measurement_map(self) -> np.ndarray:
-        return np.eye(4)
-
-    @property
     def measurement_noise(self) -> np.ndarray:
         return np.diag([self.sigma_x**2, self.sigma_y**2, self.sigma_vx**2, self.sigma_vy**2])
 
@@ -124,27 +118,22 @@ class KalmanState:
             raise ValueError("state is a 4-vector with a 4x4 covariance")
 
 
-def kf_init(z: np.ndarray, model: CvModel) -> KalmanState:
-    """State from the first measurement, with the configured initial spread."""
-    return KalmanState(mean=np.asarray(z, dtype=np.float64).copy(), covariance=model.initial_covariance)
-
-
 def _predicted_covariance(cov: np.ndarray, f: np.ndarray, q: np.ndarray) -> np.ndarray:
     return f @ cov @ f.T + q
 
 
-def _gain(cov: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _gain(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Kalman gain for a predicted covariance."""
-    s = h @ cov @ h.T + r
+    s = cov + r
     try:
-        return np.linalg.solve(s.T, (cov @ h.T).T).T
+        return np.linalg.solve(s.T, cov.T).T
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"innovation covariance not invertible: {exc}") from exc
 
 
-def _updated_covariance(cov: np.ndarray, gain: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _updated_covariance(cov: np.ndarray, gain: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Joseph form, which keeps the covariance symmetric."""
-    ikh = np.eye(4) - gain @ h
+    ikh = np.eye(4) - gain
     return ikh @ cov @ ikh.T + gain @ r @ gain.T
 
 
@@ -156,10 +145,10 @@ def kf_predict(state: KalmanState, model: CvModel) -> KalmanState:
 def kf_update(state: KalmanState, model: CvModel, z: np.ndarray) -> KalmanState:
     """Measurement correction; Joseph-form covariance update for symmetry."""
     z = np.asarray(z, dtype=np.float64)
-    h, r = model.measurement_map, model.measurement_noise
-    gain = _gain(state.covariance, h, r)
-    mean = state.mean + gain @ (z - h @ state.mean)
-    return KalmanState(mean=mean, covariance=_updated_covariance(state.covariance, gain, h, r))
+    r = model.measurement_noise
+    gain = _gain(state.covariance, r)
+    mean = state.mean + gain @ (z - state.mean)
+    return KalmanState(mean=mean, covariance=_updated_covariance(state.covariance, gain, r))
 
 
 def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +156,14 @@ def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
     covariance after its last update. The covariance recursion never reads a
     measurement, so every window of one length shares them."""
     f, q = model.transition, model.process_noise
-    h, r = model.measurement_map, model.measurement_noise
+    r = model.measurement_noise
     cov = model.initial_covariance
     gains = np.empty((length - 1, 4, 4))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for t in range(length - 1):
             cov = _predicted_covariance(cov, f, q)
-            gains[t] = _gain(cov, h, r)
-            cov = _updated_covariance(cov, gains[t], h, r)
+            gains[t] = _gain(cov, r)
+            cov = _updated_covariance(cov, gains[t], r)
     if not (np.isfinite(gains).all() and np.isfinite(cov).all()):
         raise ValueError(f"Kalman covariance overflows over {length} frames for {model}")
     return gains, cov
@@ -223,14 +212,6 @@ def kf_forecast_rows(
         mean = _times_rows(f, _times_rows(f, mean))
         positions[:, j] = mean[:, :2]
     return ogm.position_classes(positions, grid)
-
-
-def kf_filter_window(obs: np.ndarray, model: CvModel) -> KalmanState:
-    """Filter one (M, 6) observation window: kf_filter_rows on one row."""
-    obs = np.asarray(obs, dtype=np.float64)
-    _check_window_shape(obs.shape)
-    mean, cov = kf_filter_rows(obs[None], model)
-    return KalmanState(mean=mean[0], covariance=cov)
 
 
 def kf_forecast(

@@ -40,13 +40,11 @@ from .nn import DenseParams, LstmParams, LstmState
 __all__ = [
     "ModelConfig",
     "ModelParams",
-    "Observation",
     "EncoderSummary",
     "BeamHypothesis",
     "TrajectoryPrediction",
     "CheckpointError",
     "init_model_params",
-    "observations_to_array",
     "encode",
     "decoder_initial_state",
     "decode_step",
@@ -117,31 +115,6 @@ class ModelConfig:
     @property
     def embed_cols_l(self) -> int:
         return self.grid.q_l + 1
-
-
-@dataclass
-class Observation:
-    """One 100 ms sensor frame for one surrounding vehicle: ego speed and yaw
-    rate, relative position, relative velocity."""
-
-    v: float
-    yaw_rate: float
-    x: float
-    y: float
-    vx: float
-    vy: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.v, self.yaw_rate, self.x, self.y, self.vx, self.vy])
-
-
-def observations_to_array(obs) -> np.ndarray:
-    """A sequence of Observation (or rows of 6 floats) as an (M, 6) array."""
-    rows = [o.to_array() if isinstance(o, Observation) else np.asarray(o, dtype=np.float64) for o in obs]
-    out = np.stack(rows)
-    if out.shape[-1] != NUM_FEATURES:
-        raise ValueError(f"observations need {NUM_FEATURES} features, got {out.shape[-1]}")
-    return out
 
 
 @dataclass
@@ -248,7 +221,7 @@ def normalize_features(params: ModelParams, obs: np.ndarray) -> np.ndarray:
 
 def _observation_window(params: ModelParams, obs) -> np.ndarray:
     """One vehicle's window as a finite (obs_len, 6) array, or ValueError."""
-    arr = np.asarray(obs, dtype=np.float64) if isinstance(obs, np.ndarray) else observations_to_array(obs)
+    arr = np.asarray(obs, dtype=np.float64)
     if arr.shape != (params.config.obs_len, NUM_FEATURES):
         raise ValueError(
             f"encode expects ({params.config.obs_len}, {NUM_FEATURES}) observations, got {arr.shape}"
@@ -301,7 +274,6 @@ def encode_core(
 class DecodeTapes:
     lstm: list[nn.LstmTape]
     fc: list[nn.DenseTape]
-    tokens: np.ndarray | None  # embedded token ids, None for the start step
 
 
 def decoder_initial_state(params: ModelParams, summary: EncoderSummary) -> list[LstmState]:
@@ -352,7 +324,7 @@ def decode_core(
         fc_tapes.append(tape)
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("non-finite decoder logits")
-    tapes = DecodeTapes(lstm=lstm_tapes, fc=fc_tapes, tokens=None) if with_tapes else None
+    tapes = DecodeTapes(lstm=lstm_tapes, fc=fc_tapes) if with_tapes else None
     return u, new_state, tapes
 
 

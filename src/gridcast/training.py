@@ -55,10 +55,6 @@ __all__ = [
     "layout",
     "train",
     "TrainResult",
-    "get_flat_params",
-    "set_flat_params",
-    "flatten_grads",
-    "make_loss_fn",
 ]
 
 # labels are taken every 2nd frame: observations tick at 100 ms, the decoder
@@ -179,17 +175,11 @@ def nll_loss(
     loss_sum = 0.0
     denom = (batch if batch_rows is None else batch_rows) * horizon
     for step in range(horizon):
-        if step == 0:
-            u = start_input(params, batch)
-            tokens = None
-        else:
-            tokens = labels[:, step - 1]
-            u = embed_tokens(params, tokens)
+        u = start_input(params, batch) if step == 0 else embed_tokens(params, labels[:, step - 1])
         logits, state, tapes = decode_core(params, state, u, with_tapes=with_grads)
         lp = nn.log_softmax(logits)
         loss_sum -= float(lp[np.arange(batch), labels[:, step] - 1].sum())
         if with_grads:
-            tapes.tokens = tokens
             dec_tapes.append(tapes)
             log_probs.append(lp)
     loss = loss_sum / denom
@@ -224,10 +214,9 @@ def nll_loss(
             grads[f"dec_lstm{k}.b"] += cell_grads["b"]
             dstate[k] = (grad_prev.c, grad_prev.h)
             g = grad_u  # feeds layer below (same step), or the embedding
-        tokens = dec_tapes[step].tokens
-        if tokens is not None:
+        if step:  # later steps embedded the previous step's label
             half = cfg.embed_dim_per_axis
-            wc, lc = token_embed_columns(tokens, cfg)
+            wc, lc = token_embed_columns(labels[:, step - 1], cfg)
             np.add.at(grads["embed_w"].T, wc, g[:, :half])
             np.add.at(grads["embed_l"].T, lc, g[:, half:])
 
@@ -543,42 +532,3 @@ def train(
                 break
 
         return TrainResult(params=best_params, trace=trace, best_val_nll=best_val, stop_reason=stop_reason)
-
-
-# ---------------------------------------------------------------------------
-# flat-parameter plumbing (optimizer- and verification-facing)
-# ---------------------------------------------------------------------------
-
-
-def get_flat_params(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for _, a in params.param_items()])
-
-
-def set_flat_params(params: ModelParams, vec: np.ndarray) -> None:
-    offset = 0
-    for _, a in params.param_items():
-        a[...] = vec[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
-    if offset != vec.size:
-        raise ValueError(f"flat vector has {vec.size} entries, params need {offset}")
-
-
-def flatten_grads(params: ModelParams, grads: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([grads[name].ravel() for name, _ in params.param_items()])
-
-
-def make_loss_fn(params: ModelParams, examples: list[TrainingExample]):
-    """Flat-vector views of the NLL for the finite-difference gradient
-    checker: (loss-and-gradient function, cheaper value-only function)."""
-
-    def f(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        set_flat_params(params, vec)
-        loss, grads = nll_loss(params, examples)
-        return loss, flatten_grads(params, grads)
-
-    def f_value(vec: np.ndarray) -> float:
-        set_flat_params(params, vec)
-        loss, _ = nll_loss(params, examples, with_grads=False)
-        return loss
-
-    return f, f_value

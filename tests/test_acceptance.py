@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gridcast import datagen, kalman, metrics, nn, ogm, seq2seq, training
+from gridcast import datagen, kalman, metrics, nn, ogm, seq2seq, training, verify
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -121,8 +121,8 @@ def test_criterion_1_gradient_fidelity():
         )
         for _ in range(2)
     ]
-    f, f_value = training.make_loss_fn(params, examples)
-    x0 = training.get_flat_params(params)
+    f, f_value = verify.make_loss_fn(params, examples)
+    x0 = verify.get_flat_params(params)
     _, analytic = f(x0)
     live = {
         name: float(np.mean(grads != 0))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gridcast import datagen, kalman, metrics, ogm, seq2seq, training
-from gridcast.cli import ConfigError, load_run_config, main, validate_run_config
+from gridcast.cli import _SECTIONS, ConfigError, load_run_config, main, validate_run_config
 
 # a toy setup that trains in seconds: 6x3 grid, 4-dim cells, 1 s window
 TOY = [
@@ -92,6 +92,14 @@ class TestConfigParsing:
         cfg = load_run_config(path)
         validate_run_config(cfg)
         assert cfg == load_run_config()  # keys document the defaults exactly
+        with open(path, encoding="utf-8") as f:
+            keys = {line.split("#", 1)[0].split("=", 1)[0].strip() for line in f} - {""}
+        settable = {"seed"} | {
+            f"{section}.{f.name}" for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
+        }
+        # model.grid is built from the grid.* keys; an unset target_val_nll
+        # has no config spelling, so the file shows it commented out
+        assert keys == settable - {"model.grid", "train.target_val_nll"}
 
 
 class TestValidation:
@@ -608,8 +616,17 @@ class TestVerify:
         rc = main(["verify"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "7/7 checks passed" in out
-        assert "FAIL" not in out
+        lines = out.splitlines()
+        assert [line.split(":", 1)[0] for line in lines[:-1]] == [
+            "PASS lstm-bptt-gradient-vs-finite-difference",
+            "PASS full-model-gradient-vs-finite-difference",
+            "PASS beam-search-vs-exhaustive-enumeration",
+            "PASS beam-width-1-equals-greedy",
+            "PASS grid-quantization-roundtrip",
+            "PASS softmax-probability-contract",
+            "PASS kalman-constant-velocity-exactness",
+        ]
+        assert lines[-1] == "7/7 checks passed"
 
     def test_perturbed_gradient_fails(self, capsys):
         rc = main(["verify", "--perturb-gradient", "1e-3"])

@@ -11,10 +11,8 @@ from gridcast.kalman import (
     CvModel,
     KalmanState,
     kf_filter_rows,
-    kf_filter_window,
     kf_forecast,
     kf_forecast_rows,
-    kf_init,
     kf_predict,
     kf_update,
 )
@@ -82,7 +80,7 @@ class TestUpdate:
 
     def test_joseph_form_symmetry_through_sequence(self):
         rng = np.random.default_rng(0)
-        state = kf_init(np.array([10.0, 0.0, 5.0, 0.0]), MODEL)
+        state = KalmanState(mean=np.array([10.0, 0.0, 5.0, 0.0]), covariance=MODEL.initial_covariance)
         for _ in range(100):
             state = kf_predict(state, MODEL)
             state = kf_update(state, MODEL, rng.standard_normal(4) * 5)
@@ -107,9 +105,9 @@ class TestForecast:
     def test_mean_position_error_machine_precision(self):
         x0, y0, vx, vy = 40.0, -1.5, 6.0, 0.3
         frames = cv_frames(30, x0, y0, vx, vy)
-        state = kf_filter_window(frames, MODEL)
+        means, _ = kf_filter_rows(frames[None], MODEL)
         t_last = 29 * MODEL.dt
-        assert np.allclose(state.mean, [x0 + vx * t_last, y0 + vy * t_last, vx, vy], atol=1e-9)
+        assert np.allclose(means[0], [x0 + vx * t_last, y0 + vy * t_last, vx, vy], atol=1e-9)
 
     def test_track_exiting_range_goes_out_of_map(self):
         # last observation at 174.5 m; forecast positions cross 180 m mid-horizon
@@ -131,9 +129,9 @@ class TestForecast:
 
     def test_window_shape_validated(self):
         with pytest.raises(ValueError):
-            kf_filter_window(np.zeros((0, 6)), MODEL)
+            kf_forecast(np.zeros((0, 6)), MODEL)
         with pytest.raises(ValueError):
-            kf_filter_window(np.zeros((10, 5)), MODEL)
+            kf_forecast(np.zeros((10, 5)), MODEL)
 
 
 def noisy_windows(n, m=30, seed=0):
@@ -145,7 +143,7 @@ def noisy_windows(n, m=30, seed=0):
 
 
 def chain_filter(obs, model):
-    state = kf_init(obs[0, 2:6], model)
+    state = KalmanState(mean=obs[0, 2:6], covariance=model.initial_covariance)
     for z in obs[1:, 2:6]:
         state = kf_update(kf_predict(state, model), model, z)
     return state
@@ -158,9 +156,9 @@ class TestRows:
         forecasts = kf_forecast_rows(windows, MODEL, 10, GRID)
         assert forecasts.shape == (37, 10)
         for n, obs in enumerate(windows):
-            single = kf_filter_window(obs, MODEL)
-            assert np.array_equal(means[n], single.mean)
-            assert np.array_equal(cov, single.covariance)
+            single_means, single_cov = kf_filter_rows(obs[None], MODEL)
+            assert np.array_equal(means[n], single_means[0])
+            assert np.array_equal(cov, single_cov)
             assert forecasts[n].tolist() == kf_forecast(obs, MODEL, 10, GRID)
 
     @pytest.mark.parametrize("m", [1, 2, 30])
@@ -188,7 +186,7 @@ class TestRows:
     @pytest.mark.parametrize("window_shape", [(10, 5), (0, 6), (10, 7)])
     def test_window_shape_message_shared_with_single_window(self, window_shape):
         with pytest.raises(ValueError) as single:
-            kf_filter_window(np.zeros(window_shape), MODEL)
+            kf_forecast(np.zeros(window_shape), MODEL)
         with pytest.raises(ValueError) as rows:
             kf_filter_rows(np.zeros((3, *window_shape)), MODEL)
         assert str(rows.value) == str(single.value) == f"expected an (M, 6) observation window, got {window_shape}"

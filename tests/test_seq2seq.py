@@ -16,7 +16,6 @@ from gridcast.ogm import GridSpec
 from gridcast.seq2seq import (
     CheckpointError,
     ModelConfig,
-    Observation,
     beam_search_decode,
     decode_step,
     decoder_initial_state,
@@ -144,14 +143,6 @@ class TestEncode:
         config, params = tiny_model(obs_len=3)
         with pytest.raises(ValueError):
             encode(params, np.zeros((4, 6)))
-
-    def test_observation_objects_accepted(self):
-        config, params = tiny_model(obs_len=2, seed=1)
-        obs = [Observation(25.0, 0.001, 30.0, 1.0, -2.0, 0.1), Observation(25.0, 0.0, 29.8, 1.0, -2.0, 0.1)]
-        summary = encode(params, obs)
-        arr = np.stack([o.to_array() for o in obs])
-        ref = encode(params, arr)
-        assert np.array_equal(summary.states[0].c, ref.states[0].c)
 
 
 class TestDecodeStep:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridcast import ogm, seq2seq, training
+from gridcast import ogm, seq2seq, training, verify
 from gridcast.training import (
     AdamState,
     TrainConfig,
@@ -98,8 +98,8 @@ class TestNllLoss:
     def test_full_model_gradient_matches_finite_differences(self):
         # scale-relative comparison; per-coordinate FD noise is ~1e-10 abs
         config, params, examples = tiny_setup(seed=3)
-        f, f_value = training.make_loss_fn(params, examples)
-        x0 = training.get_flat_params(params)
+        f, f_value = verify.make_loss_fn(params, examples)
+        x0 = verify.get_flat_params(params)
         _, analytic = f(x0)
         h = 1e-5
         numeric = np.empty_like(x0)
