@@ -91,10 +91,6 @@ class DenseParams:
     def in_dim(self) -> int:
         return self.weight.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
 
 @dataclass
 class DenseTape:
@@ -114,10 +110,21 @@ def _rows(u: np.ndarray, width: int, what: str) -> np.ndarray:
 
 
 def _product(u: np.ndarray, w: np.ndarray, row_exact: bool) -> np.ndarray:
-    """u @ w.T. With row_exact, one matrix-vector product per row (numpy's
-    stacked matmul), so each row has the bits a one-row call gives it; a
-    multi-row BLAS gemm may round a row differently by the row count."""
-    return np.matmul(u[:, None, :], w.T)[:, 0] if row_exact else u @ w.T
+    """u @ w.T. A plain gemm may round a row differently by the row count.
+    row_exact pads the rows of u with zeros to a multiple of 16 and those of
+    w (the output width) to a multiple of 4 and at least 128, and slices the
+    gemm back: then each row has the bits of a one-row call. That is this
+    BLAS build's property, not a documented one (narrower padding loses it
+    for narrow layers); tests/test_nn.py::TestRowExact checks it."""
+    if not row_exact:
+        return u @ w.T
+    rows, width = len(u), len(w)
+    pad_rows, pad_width = -rows % 16, max(128 - width, -width % 4)
+    if pad_rows:
+        u = np.concatenate([u, np.zeros((pad_rows, u.shape[1]))])
+    if pad_width:
+        w = np.concatenate([w, np.zeros((pad_width, w.shape[1]))])
+    return (u @ w.T)[:rows, :width]
 
 
 def dense_forward_cached(
@@ -266,19 +273,18 @@ def lstm_backward(
 # ---------------------------------------------------------------------------
 
 
-def gradient_check(f, x0: np.ndarray, h: float = 1e-5, f_value=None) -> float:
+def gradient_check(f, x0: np.ndarray, h: float = 1e-5) -> float:
     """Compare analytic against central-difference gradients.
 
-    f maps a flat float64 vector to (scalar value, gradient vector). f_value,
-    when given, is a cheaper value-only evaluation used for the difference
-    sweep. Returns the max over coordinates of |a - n| / max(|a|, |n|, 1e-12).
+    f maps a flat float64 vector to (scalar value, gradient vector). Returns
+    the max over coordinates of |a - n| / max(|a|, |n|, 1e-12).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     _, analytic = f(x0)
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != x0.shape:
         raise ShapeError("analytic gradient shape != parameter shape")
-    numeric = central_differences(f_value if f_value is not None else (lambda x: f(x)[0]), x0, h)
+    numeric = central_differences(lambda x: f(x)[0], x0, h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

@@ -16,11 +16,10 @@ Every computation runs on rows: encoder windows, decoder inputs and LSTM
 states are batches whose rows are training examples, vehicles or beam
 hypotheses, and a single vehicle is one row. Inference decodes every
 hypothesis of every vehicle in a chunk as one row of a batch: one decoder
-call per step over all rows. Results are bit-identical run to run; replaying
-a hypothesis one row at a time reproduces its cumulative log probability
-within 1e-12 (a batched row product and a single-row product may round
-differently). Greedy decoding of many vehicles runs on row-exact products
-instead, so each vehicle gets the bits it gets decoded alone.
+call per step over all rows. Its products are row-exact (nn._product), so
+every row has the bits it has alone: a vehicle decodes to the same bits in
+any batch, and replaying a hypothesis one row at a time reproduces its
+cumulative log probability exactly. Training keeps the plain product.
 """
 
 from __future__ import annotations
@@ -215,10 +214,6 @@ class EncoderTapes:
     lstm: list[list[nn.LstmTape]]  # [step][lstm layer]
 
 
-def normalize_features(params: ModelParams, obs: np.ndarray) -> np.ndarray:
-    return (obs - params.feat_mean) / params.feat_std
-
-
 def _observation_window(params: ModelParams, obs) -> np.ndarray:
     """One vehicle's window as a finite (obs_len, 6) array, or ValueError."""
     arr = np.asarray(obs, dtype=np.float64)
@@ -235,21 +230,21 @@ def _observation_window(params: ModelParams, obs) -> np.ndarray:
 def encode(params: ModelParams, obs) -> EncoderSummary:
     """Run the encoder over exactly obs_len observations (oldest first); the
     summary states are one (1, cell) row."""
-    summary, _ = encode_core(params, _observation_window(params, obs)[None], with_tapes=False)
+    summary, _ = encode_core(params, _observation_window(params, obs)[None], with_tapes=False, row_exact=True)
     return summary
 
 
 def encode_core(
     params: ModelParams, obs: np.ndarray, with_tapes: bool, row_exact: bool = False
 ) -> tuple[EncoderSummary, EncoderTapes | None]:
-    """Encoder forward over (B, M, 6) observations: B windows of M frames.
-    row_exact: each window's summary has the bits it has encoded alone."""
+    """Encoder forward over (B, M, 6) observations: B windows of M frames;
+    row_exact for inference (see nn._product)."""
     obs = np.asarray(obs, dtype=np.float64)
     batch, steps, _ = obs.shape
     states = [LstmState.zeros(batch, params.config.cell_dim) for _ in params.enc_lstm]
     tapes = EncoderTapes(fc=[], lstm=[]) if with_tapes else None
     for t in range(steps):
-        u = normalize_features(params, obs[:, t])
+        u = (obs[:, t] - params.feat_mean) / params.feat_std
         fc_tapes = []
         for fc in params.enc_fc:
             u, tape = nn.dense_forward_cached(fc, u, "relu", row_exact)
@@ -309,8 +304,8 @@ def start_input(params: ModelParams, rows: int) -> np.ndarray:
 def decode_core(
     params: ModelParams, state: list[LstmState], u: np.ndarray, with_tapes: bool, row_exact: bool = False
 ) -> tuple[np.ndarray, list[LstmState], DecodeTapes | None]:
-    """One decoder step from an already-embedded input; returns logits.
-    row_exact: each row's logits have the bits a one-row call gives."""
+    """One decoder step from an already-embedded input; returns logits;
+    row_exact for inference."""
     new_state = list(state)
     lstm_tapes = []
     for k, cell in enumerate(params.dec_lstm):
@@ -335,7 +330,7 @@ def decode_step(
     (num_classes,) probability map and the advanced state. prev is the
     previous flat class id, or None for the decode-start token."""
     u = start_input(params, 1) if prev is None else embed_tokens(params, np.array([prev]))
-    logits, new_state, _ = decode_core(params, state, u, with_tapes=False)
+    logits, new_state, _ = decode_core(params, state, u, with_tapes=False, row_exact=True)
     return nn.softmax(logits)[0], new_state
 
 
@@ -372,15 +367,12 @@ def greedy_decode(params: ModelParams, summary: EncoderSummary, horizon: int | N
     return BeamHypothesis(sequence=seqs[0].tolist(), log_prob=float(log_probs[0]))
 
 
-def _greedy_rows(
-    params: ModelParams, state: list[LstmState], steps: int, row_exact: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_rows(params: ModelParams, state: list[LstmState], steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy decoding for N vehicles at once from their N decoder-state
     rows: every step decodes all rows in one decode_core call, and each row
     feeds back its argmax class. An argmax loop of its own, not _beam_rows
     at width 1, so that the beam at width 1 stays an independent check of
-    it. Returns (sequences (N, steps) of
-    flat class ids, log_probs (N,))."""
+    it. Returns (sequences (N, steps) of flat class ids, log_probs (N,))."""
     n = state[0].c.shape[0]
     seqs = np.zeros((n, steps), dtype=np.int64)
     log_probs = np.zeros(n)
@@ -388,7 +380,7 @@ def _greedy_rows(
     for step in range(steps):
         if step:
             u = embed_tokens(params, seqs[:, step - 1])
-        logits, state, _ = decode_core(params, state, u, with_tapes=False, row_exact=row_exact)
+        logits, state, _ = decode_core(params, state, u, with_tapes=False, row_exact=True)
         lp = nn.log_softmax(logits)
         best = np.argmax(lp, axis=1)  # first max <=> lowest class id on ties
         log_probs += lp[np.arange(n), best]
@@ -435,7 +427,7 @@ def _beam_rows(
         if step:
             state = [LstmState(c=s.c[rows], h=s.h[rows]) for s in state]
             u = embed_tokens(params, seqs[:, :, -1].ravel())
-        logits, state, _ = decode_core(params, state, u, with_tapes=False)
+        logits, state, _ = decode_core(params, state, u, with_tapes=False, row_exact=True)
         lp = nn.log_softmax(logits).reshape(n, -1, num_classes)
         if maps is not None:
             maps.append(np.exp(lp))
@@ -489,30 +481,29 @@ def predict_scene(params: ModelParams, scenes, beam_width: int | None = None, ho
     """Encode + beam-decode each vehicle's observation window with the
     shared parameters; output order matches input order. Every window is
     validated first, all are encoded in one batch, and the beam decodes
-    DECODE_CHUNK vehicles at a time."""
+    DECODE_CHUNK vehicles at a time, each as beam_search_decode bit for bit."""
     k, steps = _beam_args(params, beam_width, horizon)
     out: list[TrajectoryPrediction] = []
-    for chunk in _scene_chunks(params, scenes, row_exact=False):
+    for chunk in _scene_chunks(params, scenes):
         out += _predictions(*_beam_rows(params, chunk, k, steps))
     return out
 
 
 def greedy_scene(params: ModelParams, scenes, horizon: int | None = None) -> list[BeamHypothesis]:
     """Greedy-decode each vehicle's observation window, in input order,
-    batched as predict_scene batches the beam. The products are row-exact,
-    so each vehicle's hypothesis equals greedy_decode(params, encode(params,
-    window)) bit for bit."""
+    batched as predict_scene batches the beam; each vehicle's hypothesis
+    equals greedy_decode(params, encode(params, window)) bit for bit."""
     _, steps = _beam_args(params, 1, horizon)
     out: list[BeamHypothesis] = []
-    for chunk in _scene_chunks(params, scenes, row_exact=True):
-        seqs, log_probs = _greedy_rows(params, chunk, steps, row_exact=True)
+    for chunk in _scene_chunks(params, scenes):
+        seqs, log_probs = _greedy_rows(params, chunk, steps)
         out += [BeamHypothesis(sequence=q, log_prob=lp) for q, lp in zip(seqs.tolist(), log_probs.tolist())]
     return out
 
 
-def _scene_chunks(params: ModelParams, scenes, row_exact: bool) -> Iterator[list[LstmState]]:
-    """Every window validated, then all encoded in one batch; yields the
-    decoder-state rows of DECODE_CHUNK vehicles at a time."""
+def _scene_chunks(params: ModelParams, scenes) -> Iterator[list[LstmState]]:
+    """Every window validated, then all encoded in one row-exact batch;
+    yields the decoder-state rows of DECODE_CHUNK vehicles at a time."""
     if len(scenes) < 1:
         raise ValueError("a scene needs at least one vehicle")
     windows = []
@@ -521,7 +512,7 @@ def _scene_chunks(params: ModelParams, scenes, row_exact: bool) -> Iterator[list
             windows.append(_observation_window(params, obs))
         except ValueError as exc:
             raise ValueError(f"vehicle {n}: {exc}") from exc
-    summary, _ = encode_core(params, np.stack(windows), with_tapes=False, row_exact=row_exact)
+    summary, _ = encode_core(params, np.stack(windows), with_tapes=False, row_exact=True)
     state = decoder_initial_state(params, summary)
     for lo in range(0, len(windows), DECODE_CHUNK):
         yield [LstmState(c=s.c[lo : lo + DECODE_CHUNK], h=s.h[lo : lo + DECODE_CHUNK]) for s in state]

@@ -150,7 +150,7 @@ def _check_beam_exhaustive() -> tuple[bool, str]:
         u = seq2seq.start_input(params, 1)
         lp = 0.0
         for q in seq:
-            logits, state, _ = seq2seq.decode_core(params, state, u, False)
+            logits, state, _ = seq2seq.decode_core(params, state, u, False, row_exact=True)
             lp += float(nn.log_softmax(logits)[0, q - 1])
             u = seq2seq.embed_tokens(params, np.array([q]))
         scored.append((list(seq), lp))

@@ -1,6 +1,12 @@
 """Numerical core: dense/LSTM forward against independent re-implementations,
 backward against finite differences, softmax contracts, gradient checker."""
 
+import inspect
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,11 +205,54 @@ class TestLstmForward:
         assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.h, s2.h)
 
 
+# layer shapes (out_dim, in_dim) of the models gridcast runs: the cell-256
+# default (encoder input, hidden dense, stacked gates, 757-way head), the
+# cell-128 benchmark model, cells 64 and 32, and the tiny test models
+CELL_256 = [(256, 6), (256, 256), (1024, 256), (757, 256)]
+CELL_128 = [(128, 6), (128, 128), (512, 128), (757, 128)]
+NARROW = [(64, 64), (256, 64), (32, 32), (128, 32)]
+TINY = [(4, 4), (16, 4), (13, 4)]
+ROW_COUNTS = [1, 2, 15, 16, 17, 47, 48, 49, 64, 70, 128, 640, 2100]
+
+
+def row_exact_operands(out_dim, in_dim):
+    """(inputs (2100, in_dim), weight (out_dim, in_dim)) seeded by the shape."""
+    rng = np.random.default_rng([out_dim, in_dim])
+    return rng.standard_normal((2100, in_dim)), rng.uniform(-0.3, 0.3, size=(out_dim, in_dim))
+
+
+# prints {"out-in-rows": sha256 of the row_exact product's bytes} for the
+# shapes given as JSON in argv[1], at every row count
+BATCHED_DIGESTS = f"""
+import hashlib, json, sys
+import numpy as np
+from gridcast import nn
+{inspect.getsource(row_exact_operands)}
+digests = {{}}
+for out_dim, in_dim in json.loads(sys.argv[1]):
+    u, w = row_exact_operands(out_dim, in_dim)
+    for n in {ROW_COUNTS}:
+        out = np.ascontiguousarray(nn._product(u[:n], w, True))
+        digests[f"{{out_dim}}-{{in_dim}}-{{n}}"] = hashlib.sha256(out.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def batched_digests(shapes, blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", BATCHED_DIGESTS, json.dumps(shapes)], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(res.stdout)
+
+
 class TestRowExact:
-    """row_exact gives every row the bits of a one-row call. The shapes are
-    the cell-128 layers (encoder input, hidden dense, stacked gates, 757-way
-    head): there a multi-row gemm rounds rows differently from a one-row
-    product, while at tiny dims the two may agree by chance."""
+    """row_exact gives every row the bits of a one-row row_exact call, at
+    any row count. The padded gemm has this property on the BLAS build the
+    package is tested on; no BLAS documents it, so these tests are the
+    guard, and a build without it fails them."""
 
     @pytest.mark.parametrize("rows", [1, 2, 70])
     @pytest.mark.parametrize("out_dim,in_dim", [(128, 6), (128, 128), (757, 128)])
@@ -214,7 +263,7 @@ class TestRowExact:
         u = rng.standard_normal((rows, in_dim))
         for activation in ("relu", "none"):
             batched, _ = nn.dense_forward_cached(p, u, activation, row_exact=True)
-            single = [dense(p, u[r : r + 1], activation) for r in range(rows)]
+            single = [nn.dense_forward_cached(p, u[r : r + 1], activation, row_exact=True)[0] for r in range(rows)]
             assert np.array_equal(batched, np.concatenate(single))
 
     @pytest.mark.parametrize("rows", [1, 2, 70])
@@ -225,9 +274,32 @@ class TestRowExact:
         prev = nn.LstmState(c=rng.standard_normal((rows, 128)), h=rng.standard_normal((rows, 128)))
         batched, _ = nn.lstm_forward(p, u, prev, row_exact=True)
         for r in range(rows):
-            one, _ = nn.lstm_forward(p, u[r : r + 1], nn.LstmState(c=prev.c[r : r + 1], h=prev.h[r : r + 1]))
+            one_prev = nn.LstmState(c=prev.c[r : r + 1], h=prev.h[r : r + 1])
+            one, _ = nn.lstm_forward(p, u[r : r + 1], one_prev, row_exact=True)
             assert np.array_equal(batched.c[r : r + 1], one.c)
             assert np.array_equal(batched.h[r : r + 1], one.h)
+
+    @pytest.mark.parametrize("out_dim,in_dim", CELL_256 + CELL_128 + NARROW + TINY)
+    def test_every_row_count_gives_one_row_bits(self, out_dim, in_dim):
+        u, w = row_exact_operands(out_dim, in_dim)
+        one_row = np.concatenate([nn._product(u[r : r + 1], w, True) for r in range(len(u))])
+        failures = []
+        for n in ROW_COUNTS:
+            differ = int(np.count_nonzero((nn._product(u[:n], w, True) != one_row[:n]).any(axis=1)))
+            if differ:
+                failures.append(f"{in_dim}->{out_dim} at {n} rows: {differ} rows differ from one-row calls")
+        assert not failures, "this BLAS build breaks the padded gemm's row invariance:\n" + "\n".join(failures)
+
+    def test_two_blas_threads_give_the_pinned_bits(self):
+        # equal digests at every row count, n = 1 among them: with the test
+        # above, run at this process's thread count, both settings are row-
+        # invariant and agree with each other
+        shapes = CELL_128 + CELL_256
+        pinned, threaded = batched_digests(shapes, 1), batched_digests(shapes, 2)
+        differ = [key for key in pinned if threaded[key] != pinned[key]]
+        assert not differ, (
+            "row_exact products with 2 BLAS threads differ from 1 thread at (out-in-rows): " + ", ".join(differ)
+        )
 
 
 def lstm_chain_loss(p, inputs, target):

@@ -42,13 +42,14 @@ def tiny_model(cell_dim=4, q_w=4, q_l=3, obs_len=3, horizon=3, seed=0, beam_widt
 
 
 def replay_log_prob(params, summary, sequence):
-    """Teacher-forced replay of a token sequence, accumulating that path's
-    per-step log probabilities in decode order."""
+    """Teacher-forced replay of a token sequence through the inference
+    product, accumulating that path's per-step log probabilities in decode
+    order."""
     state = decoder_initial_state(params, summary)
     u = seq2seq.start_input(params, 1)
     log_prob = 0.0
     for q in sequence:
-        logits, state, _ = seq2seq.decode_core(params, state, u, False)
+        logits, state, _ = seq2seq.decode_core(params, state, u, False, row_exact=True)
         log_prob += float(nn.log_softmax(logits)[0, q - 1])
         u = seq2seq.embed_tokens(params, np.array([q]))
     return log_prob
@@ -118,9 +119,9 @@ class TestEncode:
         for t in range(2):
             u = (obs[t : t + 1] - params.feat_mean) / params.feat_std
             for fc in params.enc_fc:
-                u, _ = nn.dense_forward_cached(fc, u, "relu")
+                u, _ = nn.dense_forward_cached(fc, u, "relu", row_exact=True)
             for k, cell in enumerate(params.enc_lstm):
-                states[k], _ = nn.lstm_forward(cell, u, states[k])
+                states[k], _ = nn.lstm_forward(cell, u, states[k], row_exact=True)
                 u = states[k].h
         for got, ref in zip(summary.states, states):
             assert np.array_equal(got.c, ref.c)
@@ -265,9 +266,8 @@ class TestBeamSearch:
         ]
         scored.sort(key=lambda item: -item[1])
         assert [h.sequence for h in result.hypotheses] == [s for s, _ in scored]
-        for h, (_, lp) in zip(result.hypotheses, scored):
-            # batched hypothesis rows may round differently from the one-row replay
-            assert abs(h.log_prob - lp) <= 1e-12
+        # the beam's hypothesis rows have the bits of the one-row replay
+        assert [h.log_prob for h in result.hypotheses] == [lp for _, lp in scored]
 
     def test_log_prob_replay_consistency(self):
         config, params = tiny_model(cell_dim=6, q_w=5, q_l=2, obs_len=3, horizon=4, seed=11, beam_width=5)
@@ -391,8 +391,32 @@ class TestPredictScene:
             single = beam_search_decode(params, encode(params, obs), beam_width=beam_width)
             assert len(pred.hypotheses) == min(beam_width, config.num_classes**horizon)
             assert [h.sequence for h in pred.hypotheses] == [h.sequence for h in single.hypotheses]
-            for a, b in zip(pred.hypotheses, single.hypotheses):
-                assert abs(a.log_prob - b.log_prob) <= 1e-12
+            assert [h.log_prob for h in pred.hypotheses] == [h.log_prob for h in single.hypotheses]
+
+    def test_cell_64_scene_equals_one_vehicle_beams(self):
+        params = cell_64_scene_model()
+        scene = cell_64_scene()
+        batched = predict_scene(params, scene)
+        for n, (obs, pred) in enumerate(zip(scene, batched)):
+            single = beam_search_decode(params, encode(params, obs))
+            assert [(h.sequence, h.log_prob) for h in pred.hypotheses] == [
+                (h.sequence, h.log_prob) for h in single.hypotheses
+            ], f"vehicle {n}"
+
+
+def cell_64_scene_model():
+    """A cell-64 model on the default 757-class grid: its 64 -> 64 and
+    64 -> 256 products are the narrow layers whose rows need the padded
+    width's 128 minimum to keep their bits in a batch."""
+    return init_model_params(ModelConfig(cell_dim=64, obs_len=30, horizon=10), seed=8)
+
+
+def cell_64_scene():
+    """70 windows: one full DECODE_CHUNK of 64 rows and a chunk of 6. With
+    the width padded to a multiple of 4 only, 2 of these vehicles' greedy
+    log_probs and 6 of their beams lose their bits (seed 8 model)."""
+    rng = np.random.default_rng(8)
+    return [rng.standard_normal((30, 6)) for _ in range(70)]
 
 
 def per_vehicle_greedy(params, scene, horizon=None):
@@ -454,6 +478,11 @@ class TestGreedyScene:
         with mock.patch.object(seq2seq, "DECODE_CHUNK", chunk):
             got = seq2seq.greedy_scene(params, scene)
         assert got == per_vehicle_greedy(params, scene)
+
+    def test_cell_64_scene_equals_per_vehicle_greedy(self):
+        params = cell_64_scene_model()
+        scene = cell_64_scene()
+        assert seq2seq.greedy_scene(params, scene) == per_vehicle_greedy(params, scene)
 
 
 class TestModelParamsCopy:
