@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import datagen, kalman, metrics, ogm, seq2seq, training
+from . import datagen, kalman, metrics, nn, ogm, seq2seq, training
 
 __all__ = ["RunConfig", "ConfigError", "load_run_config", "validate_run_config", "main"]
 
@@ -321,7 +321,7 @@ def cmd_predict(
         f.write("".join(lines).encode("utf-8"))
     print(f"wrote predictions for {len(records)} vehicles to {out_path}")
     stages.lap("write")
-    stages.report("predict", "vehicles", len(records))
+    stages.report("predict", "vehicles", len(records), shards=nn.shard_count(len(windows)))
     return 0
 
 
@@ -388,9 +388,11 @@ def cmd_eval(
     if use_kalman:
         classes = kalman.kf_forecast_rows(np.stack(inputs), cfg.kalman, model_cfg.horizon, grid)
         predictions = [seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(q, 0.0)]) for q in classes.tolist()]
+        shards = 1
         stages.lap("forecast")
     else:
         predictions = seq2seq.predict_scene(params, inputs)
+        shards = nn.shard_count(len(inputs))
         stages.lap("decode")
     report = metrics.score_predictions(predictions, [w.labels for w in test_windows], eval_cfg, grid, label=label)
     stages.lap("score")
@@ -402,7 +404,7 @@ def cmd_eval(
         f.write(series.encode("utf-8"))
     print(f"series written to {series_path}")
     stages.lap("write")
-    stages.report("eval", "windows", len(test_windows), records_too_short=too_short)
+    stages.report("eval", "windows", len(test_windows), records_too_short=too_short, shards=shards)
     return 0
 
 

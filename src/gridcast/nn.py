@@ -1,5 +1,6 @@
 """Minimal 64-bit neural-network core: dense layers, the LSTM cell with exact
-analytic gradients, stable softmax, and a finite-difference gradient checker.
+analytic gradients, stable softmax, a finite-difference gradient checker, and
+the rule that splits a batch's rows into shards run on two threads.
 
 All tensors are float64 numpy arrays. Layer inputs and LSTM states are
 (rows, dim) arrays whose rows are examples or beam hypotheses; a single one
@@ -21,9 +22,15 @@ costs two matrix products instead of eight.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "ShapeError",
@@ -45,6 +52,10 @@ __all__ = [
     "glorot_uniform",
     "init_dense",
     "init_lstm",
+    "row_shards",
+    "shard_pool",
+    "shard_count",
+    "map_shards",
 ]
 
 
@@ -330,3 +341,88 @@ def init_lstm(rng: np.random.Generator | None, cell_dim: int, input_dim: int) ->
     b = np.zeros(4 * cell_dim)
     b[:cell_dim] = 1.0  # forget-gate block
     return LstmParams(w_u=w_u, w_h=w_h, b=b)
+
+
+# ---------------------------------------------------------------------------
+# row shards
+# ---------------------------------------------------------------------------
+
+
+def _blas_threads() -> int | None:
+    """The BLAS thread count the environment sets, in the order OpenBLAS
+    reads it (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS; an
+    MKL build reads MKL_NUM_THREADS, then OMP_NUM_THREADS): the first one
+    set to a positive integer, or None."""
+    try:
+        mkl = "mkl" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError):  # numpy < 1.26 keeps no build record
+        mkl = False
+    names = ("MKL_NUM_THREADS",) if mkl else ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS")
+    settings = [os.environ.get(name, "").strip() for name in (*names, "OMP_NUM_THREADS")]
+    return next((int(v) for v in settings if v.isdigit() and int(v) > 0), None)
+
+
+# BLAS read its thread count when numpy loaded (imported above), so the
+# setting is read once, here: a later change to the environment, or a pin
+# made through threadpoolctl, is not seen.
+_BLAS_PINNED = _blas_threads() == 1
+
+
+def _cpu_set() -> set[int]:
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set(range(os.cpu_count() or 1))
+
+
+def row_shards() -> int:
+    """How many row shards a batch is split into, for training and for
+    inference alike: 2 when numpy's BLAS is pinned to one thread and this
+    process may use at least 2 CPUs (its affinity mask); else 1, since an
+    unpinned BLAS already spreads each product over the cores. The answer
+    depends on the process's settings only, not on the machine's load, so
+    it fixes the numbers a run computes."""
+    return 2 if _BLAS_PINNED and len(_cpu_set()) >= 2 else 1
+
+
+@contextlib.contextmanager
+def shard_pool() -> Iterator[Executor | None]:
+    """The one-worker pool that runs second row shards when row_shards() is
+    2, else None. Its thread starts at the first submit, is reused by every
+    later one (so its heap arena is too), and is joined when the block
+    exits, normally or by an exception."""
+    if row_shards() == 1:
+        yield None
+        return
+    # imported here: the module (and the logging it imports) costs memory
+    # and import time that a process which never shards need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gridcast-shard") as pool:
+        yield pool
+
+
+def shard_count(rows: int) -> int:
+    """How many shards map_shards splits this many rows into with the pool
+    of shard_pool(): row_shards(), or 1 for fewer than 2 rows."""
+    return row_shards() if rows >= 2 else 1
+
+
+_R = TypeVar("_R")
+
+
+def map_shards(fn: Callable[[Sequence], _R], rows: Sequence, pool: Executor | None) -> list[_R]:
+    """fn over the rows as one shard, [fn(rows)], without a pool or with
+    fewer than 2 rows; else over two contiguous shards, [fn(first half),
+    fn(second half)], the first (the larger, for an odd count) on the
+    calling thread and the second on the pool's worker at the same time
+    (numpy releases the GIL inside its matrix products and float ufuncs).
+    The second has finished, or raised, before this returns or raises."""
+    if pool is None or len(rows) < 2:
+        return [fn(rows)]
+    half = (len(rows) + 1) // 2
+    future = pool.submit(fn, rows[half:])
+    try:
+        first = fn(rows[:half])
+    finally:
+        second = future.result()
+    return [first, second]

@@ -20,6 +20,8 @@ call per step over all rows. Its products are row-exact (nn._product), so
 every row has the bits it has alone: a vehicle decodes to the same bits in
 any batch, and replaying a hypothesis one row at a time reproduces its
 cumulative log probability exactly. Training keeps the plain product.
+Because of that, a scene's vehicles may also be split into two row shards
+decoded on two threads (nn.row_shards) without changing a bit.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, Iterator
@@ -58,8 +61,9 @@ __all__ = [
 
 NUM_FEATURES = 6
 
-# vehicles decoded together by predict_scene and greedy_scene: bounds the
-# per-step score array at DECODE_CHUNK * beam_width * num_classes floats
+# vehicles decoded together by predict_scene and greedy_scene: bounds each
+# row shard's per-step score array at DECODE_CHUNK * beam_width *
+# num_classes floats
 DECODE_CHUNK = 64
 
 
@@ -480,30 +484,40 @@ def beam_search_decode(
 def predict_scene(params: ModelParams, scenes, beam_width: int | None = None, horizon: int | None = None) -> list[TrajectoryPrediction]:
     """Encode + beam-decode each vehicle's observation window with the
     shared parameters; output order matches input order. Every window is
-    validated first, all are encoded in one batch, and the beam decodes
-    DECODE_CHUNK vehicles at a time, each as beam_search_decode bit for bit."""
+    validated first; then each row shard (see _scene_shards) encodes its
+    windows in one batch and beam-decodes DECODE_CHUNK vehicles at a time,
+    each as beam_search_decode bit for bit."""
     k, steps = _beam_args(params, beam_width, horizon)
-    out: list[TrajectoryPrediction] = []
-    for chunk in _scene_chunks(params, scenes):
-        out += _predictions(*_beam_rows(params, chunk, k, steps))
-    return out
+
+    def decode(windows: np.ndarray) -> list[TrajectoryPrediction]:
+        return [p for chunk in _chunks(params, windows) for p in _predictions(*_beam_rows(params, chunk, k, steps))]
+
+    return _scene_shards(params, scenes, decode)
 
 
 def greedy_scene(params: ModelParams, scenes, horizon: int | None = None) -> list[BeamHypothesis]:
     """Greedy-decode each vehicle's observation window, in input order,
-    batched as predict_scene batches the beam; each vehicle's hypothesis
+    sharded and batched as predict_scene is; each vehicle's hypothesis
     equals greedy_decode(params, encode(params, window)) bit for bit."""
     _, steps = _beam_args(params, 1, horizon)
-    out: list[BeamHypothesis] = []
-    for chunk in _scene_chunks(params, scenes):
-        seqs, log_probs = _greedy_rows(params, chunk, steps)
-        out += [BeamHypothesis(sequence=q, log_prob=lp) for q, lp in zip(seqs.tolist(), log_probs.tolist())]
-    return out
+
+    def decode(windows: np.ndarray) -> list[BeamHypothesis]:
+        out = []
+        for chunk in _chunks(params, windows):
+            seqs, log_probs = _greedy_rows(params, chunk, steps)
+            out += [BeamHypothesis(sequence=q, log_prob=lp) for q, lp in zip(seqs.tolist(), log_probs.tolist())]
+        return out
+
+    return _scene_shards(params, scenes, decode)
 
 
-def _scene_chunks(params: ModelParams, scenes) -> Iterator[list[LstmState]]:
-    """Every window validated, then all encoded in one row-exact batch;
-    yields the decoder-state rows of DECODE_CHUNK vehicles at a time."""
+def _scene_shards(params: ModelParams, scenes, decode) -> list:
+    """Every window validated (an error names the vehicle's index in
+    scenes), then decode(windows) over the row shards of nn.map_shards:
+    with nn.row_shards() at 2, the first contiguous half of the vehicles on
+    the calling thread and the second on a worker thread. The products are
+    row-exact, so a vehicle decodes to the same bits in either shard.
+    Returns the shards' outputs concatenated in input order."""
     if len(scenes) < 1:
         raise ValueError("a scene needs at least one vehicle")
     windows = []
@@ -512,7 +526,15 @@ def _scene_chunks(params: ModelParams, scenes) -> Iterator[list[LstmState]]:
             windows.append(_observation_window(params, obs))
         except ValueError as exc:
             raise ValueError(f"vehicle {n}: {exc}") from exc
-    summary, _ = encode_core(params, np.stack(windows), with_tapes=False, row_exact=True)
+    with nn.shard_pool() as pool:
+        parts = nn.map_shards(decode, np.stack(windows), pool)
+    return [out for part in parts for out in part]
+
+
+def _chunks(params: ModelParams, windows: np.ndarray) -> Iterator[list[LstmState]]:
+    """(N, M, 6) validated windows encoded in one row-exact batch; yields
+    the decoder-state rows of DECODE_CHUNK vehicles at a time."""
+    summary, _ = encode_core(params, windows, with_tapes=False, row_exact=True)
     state = decoder_initial_state(params, summary)
     for lo in range(0, len(windows), DECODE_CHUNK):
         yield [LstmState(c=s.c[lo : lo + DECODE_CHUNK], h=s.h[lo : lo + DECODE_CHUNK]) for s in state]
@@ -567,47 +589,58 @@ def write_atomic(path: str, prefix: str) -> Iterator[BinaryIO]:
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Parameters from a save_checkpoint file: the manifest is parsed and
+    checked against this architecture, then each tensor's bytes are read
+    straight into its array, with no copy of the file in memory."""
     with open(path, "rb") as f:
-        raw = f.read()
-    sep = raw.find(_BLOB_SEPARATOR)
-    if sep < 0:
-        raise CheckpointError(f"{path}: no blob separator; truncated or not a checkpoint")
-    try:
-        header = raw[:sep].decode("utf-8")
-        first_line, manifest_json = header.split("\n", 1)
-        manifest = json.loads(manifest_json)
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: corrupted manifest ({exc})") from exc
-    if not first_line.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path}: bad magic {first_line!r}")
-    version = manifest.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise CheckpointError(f"{path}: format version {version}, expected 1 or {CHECKPOINT_VERSION}")
-    try:
-        config = _manifest_config(dict(manifest["config"]), version)
-        tensors = manifest["tensors"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: invalid manifest contents ({exc})") from exc
+        header = _read_header(f, path)
+        try:
+            first_line, manifest_json = header.decode("utf-8").split("\n", 1)
+            manifest = json.loads(manifest_json)
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: corrupted manifest ({exc})") from exc
+        if not first_line.startswith(CHECKPOINT_MAGIC):
+            raise CheckpointError(f"{path}: bad magic {first_line!r}")
+        version = manifest.get("format_version")
+        if version not in (1, CHECKPOINT_VERSION):
+            raise CheckpointError(f"{path}: format version {version}, expected 1 or {CHECKPOINT_VERSION}")
+        try:
+            config = _manifest_config(dict(manifest["config"]), version)
+            tensors = manifest["tensors"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: invalid manifest contents ({exc})") from exc
 
-    params = _layout_params(config, None)
-    expected = params.checkpoint_items()
-    if [t["name"] for t in tensors] != [name for name, _ in expected]:
-        raise CheckpointError(f"{path}: tensor ordering does not match this architecture")
-    blob = raw[sep + len(_BLOB_SEPARATOR) :]
-    offset = 0
-    for spec, (name, dst) in zip(tensors, expected):
-        shape = tuple(spec["shape"])
-        if shape != dst.shape:
-            raise CheckpointError(f"{path}: tensor {name} shape {shape}, expected {dst.shape}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated blob for tensor {name}")
-        dst[...] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after last tensor")
+        params = _layout_params(config, None)
+        expected = params.checkpoint_items()
+        if [t["name"] for t in tensors] != [name for name, _ in expected]:
+            raise CheckpointError(f"{path}: tensor ordering does not match this architecture")
+        for spec, (name, dst) in zip(tensors, expected):
+            shape = tuple(spec["shape"])
+            if shape != dst.shape:
+                raise CheckpointError(f"{path}: tensor {name} shape {shape}, expected {dst.shape}")
+            if f.readinto(memoryview(dst).cast("B")) != dst.nbytes:
+                raise CheckpointError(f"{path}: truncated blob for tensor {name}")
+            if sys.byteorder == "big":  # the blobs are little-endian
+                dst.byteswap(inplace=True)
+        trailing = len(f.read())
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes after last tensor")
     return params
+
+
+def _read_header(f: BinaryIO, path: str) -> bytearray:
+    """The bytes before the blob separator; leaves f at the first blob."""
+    head = bytearray()
+    while True:
+        start = max(0, len(head) - len(_BLOB_SEPARATOR) + 1)
+        block = f.read(1 << 14)
+        if not block:
+            raise CheckpointError(f"{path}: no blob separator; truncated or not a checkpoint")
+        head += block
+        sep = head.find(_BLOB_SEPARATOR, start)
+        if sep >= 0:
+            f.seek(sep + len(_BLOB_SEPARATOR))
+            return head[:sep]
 
 
 def _manifest_config(raw: dict, version: int) -> ModelConfig:

@@ -16,10 +16,8 @@ LSTM stacks, the dense layers, and the embedding matrices.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,7 +49,6 @@ __all__ = [
     "adam_step",
     "clip_gradients",
     "lr_on_plateau",
-    "row_shards",
     "layout",
     "train",
     "TrainResult",
@@ -354,88 +351,30 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _blas_threads() -> int | None:
-    """The BLAS thread count the environment sets, in the order OpenBLAS
-    reads it (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS; an
-    MKL build reads MKL_NUM_THREADS, then OMP_NUM_THREADS): the first one
-    set to a positive integer, or None."""
-    try:
-        mkl = "mkl" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
-    except (AttributeError, KeyError):  # numpy < 1.26 keeps no build record
-        mkl = False
-    names = ("MKL_NUM_THREADS",) if mkl else ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS")
-    settings = [os.environ.get(name, "").strip() for name in (*names, "OMP_NUM_THREADS")]
-    return next((int(v) for v in settings if v.isdigit() and int(v) > 0), None)
-
-
-# BLAS read its thread count when numpy loaded (imported above), so the
-# setting is read once, here: a later change to the environment, or a pin
-# made through threadpoolctl, is not seen.
-_BLAS_PINNED = _blas_threads() == 1
-
-
-def _cpu_set() -> set[int]:
-    if hasattr(os, "sched_getaffinity"):
-        return os.sched_getaffinity(0)
-    return set(range(os.cpu_count() or 1))
-
-
-def row_shards() -> int:
-    """How many row shards train() splits each batch into: 2 when numpy's
-    BLAS is pinned to one thread and this process may use at least 2 CPUs
-    (its affinity mask); else 1, since an unpinned BLAS already spreads each
-    product over the cores. The answer depends on the process's settings
-    only, not on the machine's load, so it fixes the numbers a run
-    computes."""
-    return 2 if _BLAS_PINNED and len(_cpu_set()) >= 2 else 1
-
-
 def layout() -> str:
     """How train() runs its batches, in words, as `gridcast train` prints it."""
-    if row_shards() == 1:
+    if nn.row_shards() == 1:
         return "whole batches on the calling thread"
     return "2 row shards, the second on a worker thread"
-
-
-@contextlib.contextmanager
-def _row_shards() -> Iterator[Executor | None]:
-    """The one-worker pool that runs each batch's second row shard when
-    row_shards() is 2, else None. The worker thread is joined when the block
-    exits, normally or by an exception."""
-    if row_shards() == 1:
-        yield None
-        return
-    # imported here: the module costs about 1 MB of memory that commands
-    # which do not train need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gridcast-shard") as pool:
-        yield pool
 
 
 def _batch_nll(
     params: ModelParams, examples: list[TrainingExample], pool: Executor | None, with_grads: bool = True
 ) -> tuple[float, dict[str, np.ndarray] | None]:
-    """nll_loss of one batch: on the whole batch without a pool, else as two
-    contiguous row shards, each normalised by the whole batch's rows. The
-    first runs on the calling thread, the second on the pool's worker at the
-    same time (numpy releases the GIL inside its matrix products and float
-    ufuncs), and the second has finished, or raised, before this returns or
-    raises. The split is fixed, so the result does not depend on which
-    thread ran a shard; it differs from the whole batch's in summation order
-    only."""
-    if pool is None or len(examples) < 2:
-        return nll_loss(params, examples, with_grads)
-    half = (len(examples) + 1) // 2
-    future = pool.submit(nll_loss, params, examples[half:], with_grads, len(examples))
-    try:
-        loss, grads = nll_loss(params, examples[:half], with_grads, len(examples))
-    finally:
-        loss2, grads2 = future.result()
-    if grads is not None:
-        for name, g in grads.items():
-            g += grads2[name]
-    return loss + loss2, grads
+    """nll_loss of one batch over the row shards of nn.map_shards (the whole
+    batch without a pool, else two contiguous shards on two threads), each
+    normalised by the whole batch's rows, so the shards' losses and
+    gradients add up to the batch's. The split is fixed, so the result does
+    not depend on which thread ran a shard; two shards differ from the whole
+    batch in summation order only."""
+    parts = nn.map_shards(lambda shard: nll_loss(params, shard, with_grads, len(examples)), examples, pool)
+    loss, grads = parts[0]
+    for shard_loss, shard_grads in parts[1:]:
+        loss += shard_loss
+        if grads is not None:
+            for name, g in grads.items():
+                g += shard_grads[name]
+    return loss, grads
 
 
 def _dataset_nll(params: ModelParams, examples: list[TrainingExample], batch_size: int, pool: Executor | None) -> float:
@@ -463,11 +402,12 @@ def train(
     on_epoch, when given, is called after every evaluation as
     on_epoch(epoch, train_nll, val_nll, lr, params, is_best).
 
-    Batches run as row_shards() shards (see layout()); any worker thread is
-    joined before train returns or raises."""
+    Batches run as nn.row_shards() shards (see layout()); with 2, every
+    second shard runs on one worker thread, joined before train returns or
+    raises."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
-    with _row_shards() as pool:
+    with nn.shard_pool() as pool:
         rng = np.random.default_rng(tconfig.seed)
         params = init_model_params(config, rng)
         fit_normalizer(params, train_set)

@@ -192,33 +192,37 @@ def test_criterion_2_beam_greedy_equivalence():
 
 def test_criterion_3_beam_exhaustive_oracle():
     """4 classes, horizon 3, K=64: top-K set and ordering equal brute force,
-    within 5 s."""
+    within 5 s. Brute force through the training product agrees within 1e-9;
+    replaying each hypothesis through the row-exact inference product gives
+    its log probability exactly."""
     t0 = time.perf_counter()
     config, params = tiny_model(q_w=3, q_l=1, obs_len=3, horizon=3, seed=5, beam_width=64)
     assert config.num_classes == 4
     summary = seq2seq.encode(params, np.random.default_rng(5).standard_normal((3, 6)))
     result = seq2seq.beam_search_decode(params, summary, beam_width=64, horizon=3)
 
-    scored = []
-    for seq in product(range(1, 5), repeat=3):
+    def replay(seq, row_exact):
         state = seq2seq.decoder_initial_state(params, summary)
         u = seq2seq.start_input(params, 1)
         lp = 0.0
         for q in seq:
-            logits, state, _ = seq2seq.decode_core(params, state, u, False)
+            logits, state, _ = seq2seq.decode_core(params, state, u, False, row_exact)
             lp += float(nn.log_softmax(logits)[0, q - 1])
             u = seq2seq.embed_tokens(params, np.array([q]))
-        scored.append((list(seq), lp))
+        return lp
+
+    scored = [(list(seq), replay(seq, False)) for seq in product(range(1, 5), repeat=3)]
     scored.sort(key=lambda item: -item[1])
+    exact = all(h.log_prob == replay(h.sequence, True) for h in result.hypotheses)
     elapsed = time.perf_counter() - t0
 
     order_ok = [h.sequence for h in result.hypotheses] == [s for s, _ in scored]
     lp_err = max(abs(h.log_prob - lp) for h, (_, lp) in zip(result.hypotheses, scored))
-    ok = order_ok and lp_err < 1e-9 and len(result.hypotheses) == 64 and elapsed < 5.0
+    ok = order_ok and lp_err < 1e-9 and exact and len(result.hypotheses) == 64 and elapsed < 5.0
     report(
         "criterion 3 (beam equals exhaustive top-64)",
         ok,
-        f"ordering match {order_ok}, log-prob error {lp_err:.2e}, {elapsed:.1f}s",
+        f"ordering match {order_ok}, log-prob error {lp_err:.2e}, exact row-exact replay {exact}, {elapsed:.1f}s",
     )
 
 

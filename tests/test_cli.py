@@ -6,12 +6,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from gridcast import datagen, kalman, metrics, ogm, seq2seq, training
+from gridcast import datagen, kalman, metrics, nn, ogm, seq2seq, training
 from gridcast.cli import _SECTIONS, ConfigError, load_run_config, main, validate_run_config
 
 # a toy setup that trains in seconds: 6x3 grid, 4-dim cells, 1 s window
@@ -231,7 +233,7 @@ class TestPipeline:
         ],
     )
     def test_train_names_its_layout(self, workdir, tmp_path, capsys, monkeypatch, shards, layout):
-        monkeypatch.setattr(training, "row_shards", lambda: shards)
+        monkeypatch.setattr(nn, "row_shards", lambda: shards)
         ckpt = str(tmp_path / "model.ckpt")
         assert main(["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3"] + toy_args("train.max_epochs=1")) == 0
         line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("training on"))
@@ -272,9 +274,7 @@ class TestPipeline:
         for rec, row in zip(datagen.read_dataset(workdir["data"]), rows):
             summary = seq2seq.encode(params, rec.frames[-params.config.obs_len:])
             single = seq2seq.beam_search_decode(params, summary).hypotheses
-            assert [h["log_prob"] for h in row["hypotheses"]] == pytest.approx(
-                [h.log_prob for h in single], abs=1e-12
-            )
+            assert [h["log_prob"] for h in row["hypotheses"]] == [h.log_prob for h in single]
 
     def test_predict_greedy_at_cell_128_equals_per_vehicle_decoding(self, tmp_path):
         # more vehicles than one DECODE_CHUNK, at the cell-128 layer shapes
@@ -300,6 +300,39 @@ class TestPipeline:
             }
             expected.append(json.dumps(obj) + "\n")
         assert open(out, "rb").read() == "".join(expected).encode("utf-8")
+
+    def test_predict_bytes_do_not_depend_on_the_blas_pin(self, tmp_path):
+        # real processes, so that the pin is read as gridcast imports: with
+        # OPENBLAS_NUM_THREADS=1 on a host of 2 or more CPUs each command
+        # decodes two row shards on two threads, unset one shard on a
+        # threaded BLAS, at cell 128 over more vehicles than one DECODE_CHUNK
+        data, ckpt = str(tmp_path / "data.jsonl"), str(tmp_path / "model.ckpt")
+        assert main(["datagen", "--out", data, "--seed", "21", "--set", "data.n_scenarios=14",
+                     "--set", "data.frames_per_record=51"]) == 0
+        records = datagen.read_dataset(data)
+        assert len(records) > seq2seq.DECODE_CHUNK
+        params = seq2seq.init_model_params(seq2seq.ModelConfig(cell_dim=128, obs_len=30, horizon=10), seed=21)
+        windows, _ = training.crop_windows(records, 30, 10, params.config.grid)
+        training.fit_normalizer(params, windows)
+        seq2seq.save_checkpoint(params, ckpt)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(seq2seq.__file__)))
+        blas_variables = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        base = {k: v for k, v in os.environ.items() if k not in blas_variables}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        pinned = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        for mode in ([], ["--greedy"]):
+            runs = []
+            for pin, shards in ((pinned, 2 if len(nn._cpu_set()) >= 2 else 1), ({}, 1)):
+                out = tmp_path / f"pred-{len(runs)}.jsonl"
+                res = subprocess.run(
+                    [sys.executable, "-c", "import sys; from gridcast.cli import main; sys.exit(main(sys.argv[1:]))",
+                     "predict", "--checkpoint", ckpt, "--data", data, "--out", str(out), *mode],
+                    env={**base, **pin}, capture_output=True, text=True, timeout=300,
+                )
+                assert res.returncode == 0, res.stderr
+                assert json.loads(res.stderr.splitlines()[-1])["shards"] == shards, (pin, mode)
+                runs.append(out.read_bytes())
+            assert runs[0] == runs[1], mode
 
     def test_predict_too_few_frames_errors(self, workdir, tmp_path, capsys):
         short = os.path.join(tmp_path, "short.jsonl")
@@ -389,6 +422,7 @@ class TestPipeline:
         assert telemetry["windows"] == windows
         assert telemetry["windows_per_s"] > 0
         assert telemetry["records_too_short"] == 1
+        assert list(telemetry) == ["command", "stage_s", "windows", "windows_per_s", "records_too_short", "shards"]
         if source == "kalman":
             # stdout and series are those of one kf_forecast call per window
             cfg = load_run_config(None, TOY)
@@ -419,6 +453,24 @@ class TestPipeline:
         assert all(v >= 0 for v in telemetry["stage_s"].values())
         assert telemetry["vehicles"] == 16
         assert telemetry["vehicles_per_s"] > 0
+        assert list(telemetry) == ["command", "stage_s", "vehicles", "vehicles_per_s", "shards"]
+
+    @pytest.mark.parametrize("rule", [1, 2])
+    def test_telemetry_names_the_shards(self, workdir, tmp_path, capsys, monkeypatch, rule):
+        monkeypatch.setattr(nn, "row_shards", lambda: rule)
+        one = str(tmp_path / "one.jsonl")
+        datagen.write_dataset(datagen.read_dataset(workdir["data"])[:1], one)
+        runs = [
+            (["predict", "--checkpoint", workdir["ckpt"], "--data", workdir["data"]], rule),
+            (["predict", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--greedy"], rule),
+            (["predict", "--checkpoint", workdir["ckpt"], "--data", one], 1),
+            (["eval", "--checkpoint", workdir["ckpt"], "--data", workdir["data"]] + toy_args(), rule),
+            (["eval", "--kalman", "--data", workdir["data"]] + toy_args(), 1),
+        ]
+        for args, shards in runs:
+            out = ["--out", str(tmp_path / "pred.jsonl")] if args[0] == "predict" else ["--out-series", str(tmp_path / "s.csv")]
+            assert main(args + out) == 0
+            assert json.loads(capsys.readouterr().err.splitlines()[-1])["shards"] == shards, args
 
     def test_outputs_take_the_umask_mode(self, tmp_path):
         data, ckpt = str(tmp_path / "data.jsonl"), str(tmp_path / "model.ckpt")

@@ -3,6 +3,8 @@ against exhaustive enumeration, greedy equivalence, checkpoint persistence."""
 
 import json
 import os
+import re
+import threading
 from dataclasses import asdict
 from itertools import product
 from unittest import mock
@@ -485,6 +487,95 @@ class TestGreedyScene:
         assert seq2seq.greedy_scene(params, scene) == per_vehicle_greedy(params, scene)
 
 
+class TestSceneShards:
+    """With nn.row_shards() at 2, predict_scene and greedy_scene decode the
+    first half of the vehicles on the calling thread and the second half on
+    one worker thread. The rule gives 1 when BLAS is not pinned, as in
+    these tests, so they force it."""
+
+    @staticmethod
+    def record_encodes(monkeypatch):
+        """Patch seq2seq.encode_core to log (thread name, rows) per call."""
+        calls = []
+        real = seq2seq.encode_core
+
+        def wrapped(params, obs, *args, **kwargs):
+            calls.append((threading.current_thread().name, len(obs)))
+            return real(params, obs, *args, **kwargs)
+
+        monkeypatch.setattr(seq2seq, "encode_core", wrapped)
+        return calls
+
+    @pytest.mark.parametrize("vehicles", [1, 2, 3, 17, 64, 65, 70, 129])
+    def test_two_shards_equal_one(self, monkeypatch, vehicles):
+        # 65 and 129 vehicles cross DECODE_CHUNK within a shard or the scene
+        config, params = tiny_model(seed=50, horizon=4, beam_width=5)
+        rng = np.random.default_rng(vehicles)
+        scene = [rng.standard_normal((3, 6)) for _ in range(vehicles)]
+        monkeypatch.setattr(nn, "row_shards", lambda: 1)
+        beams, greedy = predict_scene(params, scene), seq2seq.greedy_scene(params, scene)
+        monkeypatch.setattr(nn, "row_shards", lambda: 2)
+        calls = self.record_encodes(monkeypatch)
+        threads_before = threading.active_count()
+        assert predict_scene(params, scene) == beams
+        assert seq2seq.greedy_scene(params, scene) == greedy
+        assert threading.active_count() == threads_before
+        first, second = (vehicles + 1) // 2, vehicles // 2
+        expected = [("MainThread", first), ("gridcast-shard_0", second)] if vehicles > 1 else [("MainThread", 1)]
+        assert sorted(calls) == sorted(expected * 2)
+
+    def test_cell_64_scene_in_two_shards_equals_one_vehicle_decoding(self, monkeypatch):
+        params = cell_64_scene_model()
+        scene = cell_64_scene()
+        monkeypatch.setattr(nn, "row_shards", lambda: 2)
+        assert seq2seq.greedy_scene(params, scene) == per_vehicle_greedy(params, scene)
+        beams = predict_scene(params, scene, beam_width=3)
+        assert beams == [beam_search_decode(params, encode(params, obs), beam_width=3) for obs in scene]
+
+    @pytest.mark.parametrize("bad", [1, 4])
+    @pytest.mark.parametrize("decoder", ["beam", "greedy"])
+    def test_bad_window_in_either_half_names_its_vehicle(self, monkeypatch, bad, decoder):
+        config, params = tiny_model(obs_len=3)
+        monkeypatch.setattr(nn, "row_shards", lambda: 2)
+        scene = [np.zeros((3, 6)) for _ in range(6)]
+        scene[bad] = np.zeros((2, 6))
+        decode = predict_scene if decoder == "beam" else seq2seq.greedy_scene
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("thread started")):
+            with pytest.raises(ValueError, match=f"^vehicle {bad}: encode expects"):
+                decode(params, scene)
+
+    @pytest.mark.parametrize("decoder", ["beam", "greedy"])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, decoder):
+        config, params = tiny_model(seed=51)
+        monkeypatch.setattr(nn, "row_shards", lambda: 2)
+        name = "_beam_rows" if decoder == "beam" else "_greedy_rows"
+        real = getattr(seq2seq, name)
+
+        def fail_on_worker(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("non-finite decoder logits")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(seq2seq, name, fail_on_worker)
+        scene = [np.random.default_rng(n).standard_normal((3, 6)) for n in range(5)]
+        decode = predict_scene if decoder == "beam" else seq2seq.greedy_scene
+        threads_before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="non-finite decoder logits"):
+            decode(params, scene)
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("decoder", ["beam", "greedy"])
+    def test_one_vehicle_starts_no_thread(self, monkeypatch, decoder):
+        config, params = tiny_model(seed=52)
+        monkeypatch.setattr(nn, "row_shards", lambda: 2)
+        scene = [np.random.default_rng(52).standard_normal((3, 6))]
+        decode = predict_scene if decoder == "beam" else seq2seq.greedy_scene
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("thread started")):
+            got = decode(params, scene)
+        monkeypatch.setattr(nn, "row_shards", lambda: 1)
+        assert got == decode(params, scene)
+
+
 class TestModelParamsCopy:
     def test_copy_is_equal_and_independent(self):
         config, params = tiny_model(seed=30)
@@ -586,6 +677,42 @@ class TestCheckpoints:
         with open(path, "wb") as f:
             f.write(raw[:-100])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_header_of_any_length_loads(self, tmp_path):
+        # the header is read in 16 KiB blocks: put the blob separator before,
+        # across and after the first block boundary
+        config, params = tiny_model(seed=36)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_checkpoint(params, path)
+        raw = open(path, "rb").read()
+        sep = raw.index(b"\n#BLOBS\n")
+        for length in range(2**14 - 12, 2**14 + 4):
+            with open(path, "wb") as f:
+                f.write(raw[:sep] + b" " * (length - sep) + raw[sep:])
+            loaded = load_checkpoint(path)
+            for (name, a), (_, b) in zip(params.checkpoint_items(), loaded.checkpoint_items()):
+                assert np.array_equal(a, b), (length, name)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda raw: raw[: raw.index(b"\n#BLOBS\n")], "no blob separator; truncated or not a checkpoint"),
+            (lambda raw: raw.replace(b'"enc_fc0.weight"', b'"enc_fc0.wxight"', 1), "tensor ordering does not match"),
+            (lambda raw: raw.replace(b'"shape": [4, 6]', b'"shape": [4, 7]', 1), r"tensor enc_fc0.weight shape \(4, 7\), expected \(4, 6\)"),
+            (lambda raw: raw[:-1], "truncated blob for tensor feat_std"),
+            (lambda raw: raw + b"abc", "3 trailing bytes after last tensor"),
+        ],
+        ids=["no-separator", "order", "shape", "truncated", "trailing"],
+    )
+    def test_load_error_names_the_fault(self, tmp_path, corrupt, message):
+        config, params = tiny_model(seed=37)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_checkpoint(params, path)
+        raw = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(corrupt(raw))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(path)}: {message}"):
             load_checkpoint(path)
 
     def test_bad_magic_is_load_error(self, tmp_path):

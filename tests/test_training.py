@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridcast import ogm, seq2seq, training, verify
+from gridcast import nn, ogm, seq2seq, training, verify
 from gridcast.training import (
     AdamState,
     TrainConfig,
@@ -420,7 +420,7 @@ class TestNormalizer:
 
 @contextlib.contextmanager
 def worker_pool(prefix="shard-test"):
-    """The one-worker pool train() runs second shards on."""
+    """A one-worker pool like the one train() runs second shards on."""
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix=prefix) as pool:
         yield pool
 
@@ -484,7 +484,7 @@ class TestRowShards:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert training._blas_threads() == expected
+        assert nn._blas_threads() == expected
 
     @pytest.mark.parametrize(
         "pinned, cpus, expected",
@@ -497,22 +497,22 @@ class TestRowShards:
         ],
     )
     def test_rule_reads_pin_and_cpus(self, monkeypatch, pinned, cpus, expected):
-        monkeypatch.setattr(training, "_BLAS_PINNED", pinned)
-        monkeypatch.setattr(training, "_cpu_set", lambda: set(range(cpus)))
+        monkeypatch.setattr(nn, "_BLAS_PINNED", pinned)
+        monkeypatch.setattr(nn, "_cpu_set", lambda: set(range(cpus)))
 
         def no_files(*args, **kwargs):
             raise AssertionError("row_shards() opened a file")
 
         monkeypatch.setattr("builtins.open", no_files)
-        assert training.row_shards() == expected
+        assert nn.row_shards() == expected
         assert training.layout().startswith("2 row shards" if expected == 2 else "whole batches")
 
     def test_blas_pin_is_read_once_at_import(self, monkeypatch):
-        monkeypatch.setattr(training, "_cpu_set", lambda: {0, 1})
-        before = training.row_shards()
+        monkeypatch.setattr(nn, "_cpu_set", lambda: {0, 1})
+        before = nn.row_shards()
         for name in BLAS_VARIABLES:
-            monkeypatch.setenv(name, "4" if training._BLAS_PINNED else "1")
-        assert training.row_shards() == before
+            monkeypatch.setenv(name, "4" if nn._BLAS_PINNED else "1")
+        assert nn.row_shards() == before
 
     @pytest.mark.parametrize("with_grads", [True, False])
     def test_threaded_equals_inline_bitwise(self, monkeypatch, with_grads):
@@ -579,16 +579,16 @@ class TestRowShards:
         assert_bitwise_equal(result, whole)
 
     def test_one_shard_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(training, "row_shards", lambda: 1)
+        monkeypatch.setattr(nn, "row_shards", lambda: 1)
         threads_before = threading.active_count()
-        with training._row_shards() as shards:
+        with nn.shard_pool() as shards:
             assert shards is None
             assert threading.active_count() == threads_before
 
     def test_train_threaded_equals_inline_bitwise(self, monkeypatch):
         config, examples = TestTrainLoop().small_dataset()
         tcfg = TrainConfig(batch_size=8, max_epochs=2, seed=11)
-        monkeypatch.setattr(training, "row_shards", lambda: 2)
+        monkeypatch.setattr(nn, "row_shards", lambda: 2)
         threads_before = threading.active_count()
         calls = recording_nll(monkeypatch)
         threaded = train(config, examples, examples[:7], tcfg)
@@ -597,7 +597,7 @@ class TestRowShards:
         assert len(workers) == 1  # one worker thread took every second shard
         assert {rows for _, rows in calls} == {4, 3}  # batches of 8 and 7 rows
         calls.clear()
-        monkeypatch.setattr(training, "_row_shards", lambda: contextlib.nullcontext(InlineExecutor()))
+        monkeypatch.setattr(nn, "shard_pool", lambda: contextlib.nullcontext(InlineExecutor()))
         inline = train(config, examples, examples[:7], tcfg)
         assert {name for name, _ in calls} == {"MainThread"}
         assert {rows for _, rows in calls} == {4, 3}  # split the same way
@@ -609,7 +609,7 @@ class TestRowShards:
     def test_non_finite_loss_in_worker_shard_diverges(self, monkeypatch):
         config, examples = TestTrainLoop().small_dataset()
         tcfg = TrainConfig(batch_size=8, max_epochs=2, seed=11)
-        monkeypatch.setattr(training, "row_shards", lambda: 2)
+        monkeypatch.setattr(nn, "row_shards", lambda: 2)
         real = training.nll_loss
         poisoned = []
 
