@@ -48,6 +48,14 @@ _SECTIONS = {
     "kalman": kalman.CvModel,
 }
 
+# keys of settings that have one working value: config files written while
+# they were settable still load if they set that value
+_FIXED = {
+    "model.input_dim": seq2seq.NUM_FEATURES,
+    "eval.decode_period_s": seq2seq.FRAME_DT * seq2seq.LABEL_STRIDE,
+    "kalman.dt": seq2seq.FRAME_DT,
+}
+
 
 def _parse_value(raw: str, typ, key: str):
     import types
@@ -112,6 +120,10 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
         section, name = key.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(f"{where}: unknown section {section!r}")
+        if key in _FIXED:
+            if _parse_value(value, type(_FIXED[key]), key) != _FIXED[key]:
+                raise ConfigError(f"section {section!r}: {name} is fixed at {_FIXED[key]}, got {value} ({where})")
+            continue
         # model.grid is built from the grid.* keys, not set directly
         fields = {f.name for f in dataclasses.fields(_SECTIONS[section])} - {"grid"}
         if name not in fields:
@@ -177,11 +189,11 @@ def validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"eval horizon needs {max_step} decode steps, model horizon is {cfg.model.horizon}"
         )
-    need = cfg.model.obs_len + training.LABEL_STRIDE * cfg.model.horizon
+    need = cfg.model.obs_len + seq2seq.LABEL_STRIDE * cfg.model.horizon
     if cfg.data.frames_per_record < need:
         raise ConfigError(
             f"records of {cfg.data.frames_per_record} frames cannot hold a "
-            f"{cfg.model.obs_len}+2*{cfg.model.horizon} window ({need} frames)"
+            f"{cfg.model.obs_len}+{seq2seq.LABEL_STRIDE}*{cfg.model.horizon} window ({need} frames)"
         )
 
 
@@ -476,6 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "datagen":
             return cmd_datagen(cfg, args.out)
         if args.command == "train":
+            if args.overfit is not None and args.overfit < 1:
+                raise ConfigError(f"--overfit needs N >= 1, got {args.overfit}")
             return cmd_train(cfg, args.data, args.out, args.overfit)
         if args.command == "eval":
             if args.kalman == (args.checkpoint is not None):

@@ -11,7 +11,7 @@ mean-reverting perturbation.
 World tracks are transformed into the ego frame (rotate by ego heading,
 translate to the ego origin); relative velocity is the backward difference of
 the relative positions. Gaussian measurement noise is then added per feature.
-Frames tick at 100 ms.
+Frames tick every FRAME_DT (100 ms).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .seq2seq import write_atomic
+from .seq2seq import FRAME_DT, write_atomic
 
 __all__ = [
     "ScenarioConfig",
@@ -36,8 +36,6 @@ __all__ = [
     "write_manifest",
     "read_manifest",
 ]
-
-FRAME_DT = 0.1
 
 MANEUVERS = ("lane_keep", "lane_change", "cut_in", "merge")
 
@@ -91,7 +89,7 @@ class ScenarioConfig:
 
 @dataclass(eq=False)
 class TrajectoryRecord:
-    """One surrounding vehicle's observation sequence at 100 ms spacing."""
+    """One surrounding vehicle's observation sequence, frames FRAME_DT apart."""
 
     scenario_id: int
     vehicle_id: int

@@ -4,7 +4,7 @@ forecasting baseline.
 State is (x, y, vx, vy) in the ego-relative frame; the sensor provides all
 four components, so the measurement map is the identity. The filter runs
 predict+update over the observation window, then extrapolates by pure
-prediction, quantizing the mean position onto the grid every 0.2 s.
+prediction, quantizing the mean position onto the grid at the label cadence.
 
 The covariance and gain recursion never reads a measurement, so all windows
 of one length share one gain schedule; only the means differ, and they are
@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ogm
+from .seq2seq import FRAME_DT, LABEL_STRIDE
 
 __all__ = [
     "KalmanState",
@@ -32,35 +33,11 @@ __all__ = [
 ]
 
 
-def _cv_transition(dt: float) -> np.ndarray:
-    f = np.eye(4)
-    f[0, 2] = dt
-    f[1, 3] = dt
-    return f
-
-
-def _white_accel_noise(dt: float, sigma_a: float) -> np.ndarray:
-    # white-acceleration (piecewise constant) process noise
-    q_pos = dt**4 / 4.0
-    q_cross = dt**3 / 2.0
-    q_vel = dt**2
-    q = np.array(
-        [
-            [q_pos, 0.0, q_cross, 0.0],
-            [0.0, q_pos, 0.0, q_cross],
-            [q_cross, 0.0, q_vel, 0.0],
-            [0.0, q_cross, 0.0, q_vel],
-        ]
-    )
-    return sigma_a**2 * q
-
-
 @dataclass(frozen=True)
 class CvModel:
-    """Constant-velocity dynamics at the 100 ms frame period plus the noise
+    """Constant-velocity dynamics at the FRAME_DT frame period plus the noise
     magnitudes (these are tuning parameters, exposed in the run config)."""
 
-    dt: float = 0.1
     sigma_a: float = 2.0  # process acceleration, m/s^2
     sigma_x: float = 0.5  # measurement noise stds
     sigma_y: float = 0.2
@@ -82,20 +59,28 @@ class CvModel:
                 raise ValueError(f"{f.name} must be positive, got {value}")
             if f.name.startswith("sigma_") and not math.isfinite(value * value):
                 raise ValueError(f"{f.name} = {value} overflows when squared")
-        try:
-            finite = bool(np.isfinite(self.process_noise).all())
-        except OverflowError:  # dt**4 of a huge dt
-            finite = False
-        if not finite:
-            raise ValueError(f"process noise overflows for dt = {self.dt}, sigma_a = {self.sigma_a}")
 
     @property
     def transition(self) -> np.ndarray:
-        return _cv_transition(self.dt)
+        f = np.eye(4)
+        f[0, 2] = f[1, 3] = FRAME_DT
+        return f
 
     @property
     def process_noise(self) -> np.ndarray:
-        return _white_accel_noise(self.dt, self.sigma_a)
+        # white-acceleration (piecewise constant) process noise
+        q_pos = FRAME_DT**4 / 4.0
+        q_cross = FRAME_DT**3 / 2.0
+        q_vel = FRAME_DT**2
+        q = np.array(
+            [
+                [q_pos, 0.0, q_cross, 0.0],
+                [0.0, q_pos, 0.0, q_cross],
+                [q_cross, 0.0, q_vel, 0.0],
+                [0.0, q_cross, 0.0, q_vel],
+            ]
+        )
+        return self.sigma_a**2 * q
 
     @property
     def measurement_noise(self) -> np.ndarray:
@@ -123,12 +108,9 @@ def _predicted_covariance(cov: np.ndarray, f: np.ndarray, q: np.ndarray) -> np.n
 
 
 def _gain(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Kalman gain for a predicted covariance."""
+    """Kalman gain for a predicted covariance; LinAlgError if singular."""
     s = cov + r
-    try:
-        return np.linalg.solve(s.T, cov.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"innovation covariance not invertible: {exc}") from exc
+    return np.linalg.solve(s.T, cov.T).T
 
 
 def _updated_covariance(cov: np.ndarray, gain: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -162,7 +144,10 @@ def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for t in range(length - 1):
             cov = _predicted_covariance(cov, f, q)
-            gains[t] = _gain(cov, r)
+            try:
+                gains[t] = _gain(cov, r)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"Kalman innovation covariance is singular at frame {t + 1} for {model}") from None
             cov = _updated_covariance(cov, gains[t], r)
     if not (np.isfinite(gains).all() and np.isfinite(cov).all()):
         raise ValueError(f"Kalman covariance overflows over {length} frames for {model}")
@@ -202,14 +187,15 @@ def kf_filter_rows(windows: np.ndarray, model: CvModel) -> tuple[np.ndarray, np.
 def kf_forecast_rows(
     windows: np.ndarray, model: CvModel, horizon: int, grid: ogm.GridSpec
 ) -> np.ndarray:
-    """Filter N windows, then extrapolate their means: two 100 ms predictions
-    per output step (0.2 s cadence), each mean position quantized to a flat
-    class. Returns (N, horizon) class ids."""
+    """Filter N windows, then extrapolate their means: LABEL_STRIDE frame
+    predictions per output step, the label cadence, each mean position
+    quantized to a flat class. Returns (N, horizon) class ids."""
     mean, _ = kf_filter_rows(windows, model)
     f = model.transition
     positions = np.empty((mean.shape[0], horizon, 2))
     for j in range(horizon):
-        mean = _times_rows(f, _times_rows(f, mean))
+        for _ in range(LABEL_STRIDE):
+            mean = _times_rows(f, mean)
         positions[:, j] = mean[:, :2]
     return ogm.position_classes(positions, grid)
 

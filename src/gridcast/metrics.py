@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ogm import GridSpec, unflatten_indices
-from .seq2seq import TrajectoryPrediction
+from .seq2seq import FRAME_DT, LABEL_STRIDE, TrajectoryPrediction
 
 __all__ = [
     "EvalConfig",
@@ -44,7 +44,6 @@ METRICS = ("MAE", "MAE_X", "MAE_Y")
 class EvalConfig:
     omegas: tuple[int, ...] = (1, 3, 5)
     horizons_s: tuple[float, ...] = (0.4, 0.8, 1.2, 1.6, 2.0)
-    decode_period_s: float = 0.2
     selection: str = "per_step"
 
     def __post_init__(self) -> None:
@@ -53,12 +52,12 @@ class EvalConfig:
         if self.selection not in ("per_step", "whole_trajectory"):
             raise ValueError(f"unknown selection mode {self.selection!r}")
         for h in self.horizons_s:
-            steps = h / self.decode_period_s
+            steps = h / (FRAME_DT * LABEL_STRIDE)
             if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-                raise ValueError(f"horizon {h}s is not a positive multiple of {self.decode_period_s}s")
+                raise ValueError(f"horizon {h}s is not a positive multiple of {FRAME_DT * LABEL_STRIDE}s")
 
     def horizon_steps(self) -> list[int]:
-        return [int(round(h / self.decode_period_s)) for h in self.horizons_s]
+        return [int(round(h / (FRAME_DT * LABEL_STRIDE))) for h in self.horizons_s]
 
 
 @dataclass
@@ -104,8 +103,8 @@ def top_omega_mae(
     grid: GridSpec = GridSpec(),
     selection: str = "per_step",
 ) -> TopOmegaResult:
-    """Errors at one future step (1-based, 0.2 s cadence) over paired
-    predictions and ground-truth flat-class sequences."""
+    """Errors at one future step (1-based, one per LABEL_STRIDE frames) over
+    paired predictions and ground-truth flat-class sequences."""
     if omega < 1:
         raise ValueError("omega must be >= 1")
     cand, truth = _index_arrays(predictions, truths, omega, grid)

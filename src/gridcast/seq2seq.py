@@ -59,7 +59,11 @@ __all__ = [
     "write_atomic",
 ]
 
+# input and output format: frames of NUM_FEATURES features every FRAME_DT
+# seconds in, one grid class every LABEL_STRIDE frames (0.2 s) out
 NUM_FEATURES = 6
+FRAME_DT = 0.1
+LABEL_STRIDE = 2
 
 # vehicles decoded together by predict_scene and greedy_scene: bounds each
 # row shard's per-step score array at DECODE_CHUNK * beam_width *
@@ -78,7 +82,6 @@ class ModelConfig:
     classes, and checkpoints record its full geometry.
     """
 
-    input_dim: int = NUM_FEATURES
     cell_dim: int = 256
     fc_depth: int = 3
     lstm_stack_depth: int = 2
@@ -175,7 +178,7 @@ def _layout_params(config: ModelConfig, rng: np.random.Generator | None) -> Mode
     order; rng None gives zero matrices without drawing random numbers."""
     c = config.cell_dim
     enc_fc = []
-    in_dim = config.input_dim
+    in_dim = NUM_FEATURES
     for _ in range(config.fc_depth):
         enc_fc.append(nn.init_dense(rng, c, in_dim))
         in_dim = c
@@ -651,4 +654,6 @@ def _manifest_config(raw: dict, version: int) -> ModelConfig:
         grid = ogm.GridSpec() if dims == (36, 21) else ogm.GridSpec.custom(*dims)
     else:
         grid = ogm.GridSpec(**raw.pop("grid"))
+    if raw.pop("input_dim", NUM_FEATURES) != NUM_FEATURES:  # recorded by older files
+        raise ValueError(f"input_dim must be {NUM_FEATURES}")
     return ModelConfig(grid=grid, **raw)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import nn, ogm
 from .seq2seq import (
+    LABEL_STRIDE,
     ModelConfig,
     ModelParams,
     decoder_initial_state,
@@ -54,10 +55,6 @@ __all__ = [
     "TrainResult",
 ]
 
-# labels are taken every 2nd frame: observations tick at 100 ms, the decoder
-# emits at 0.2 s
-LABEL_STRIDE = 2
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -82,8 +79,8 @@ class TrainConfig:
 
 @dataclass
 class TrainingExample:
-    """One training window: obs_len frames of inputs at 100 ms, horizon flat
-    class labels at 200 ms."""
+    """One training window: obs_len frames of inputs, FRAME_DT apart, and
+    horizon flat class labels, LABEL_STRIDE frames apart."""
 
     inputs: np.ndarray  # (obs_len, 6)
     labels: np.ndarray  # (horizon,) int, 1..num_classes
@@ -108,7 +105,7 @@ def crop_windows(records, obs_len: int, horizon: int, grid: ogm.GridSpec) -> tup
     """Every stride-1 window of obs_len frames plus horizon labels from each
     record (anything with a .frames (F, 6) array, or the array itself).
 
-    Labels are the quantized positions of every 2nd subsequent frame; targets
+    Labels are the quantized positions of every LABEL_STRIDE-th frame; targets
     outside sensor validity become the out-of-map class and are kept. Returns
     (examples, count of records too short for a single window).
     """
@@ -121,11 +118,11 @@ def crop_windows(records, obs_len: int, horizon: int, grid: ogm.GridSpec) -> tup
         if not count:
             skipped += 1
             continue
-        # window s labels frame obs_len + 1 + s + 2j: with two or more
-        # windows every frame from obs_len + 1 on is a label, with one only
-        # every 2nd of them
+        # window s labels frame obs_len - 1 + s + LABEL_STRIDE * (j + 1):
+        # with two or more windows every frame from the first label on is a
+        # label, with one only every LABEL_STRIDE-th of them
         every = 1 if count > 1 else LABEL_STRIDE
-        classes = ogm.position_classes(frames[obs_len + 1 :: every, 2:4], grid)
+        classes = ogm.position_classes(frames[obs_len - 1 + LABEL_STRIDE :: every, 2:4], grid)
         labels = classes[(np.arange(count)[:, None] + steps) // every]
         examples += [TrainingExample(inputs=frames[s : s + obs_len], labels=labels[s]) for s in range(count)]
     return examples, skipped

@@ -241,14 +241,14 @@ def _check_kalman_cv() -> tuple[bool, str]:
     grid = ogm.GridSpec()
     model = kalman.CvModel()
     x0, y0, vx, vy = 30.0, -1.0, 8.0, 0.4
-    t = np.arange(30) * 0.1
+    t = np.arange(30) * seq2seq.FRAME_DT
     frames = np.column_stack(
         [np.full(30, 25.0), np.zeros(30), x0 + vx * t, y0 + vy * t, np.full(30, vx), np.full(30, vy)]
     )
     forecast = kalman.kf_forecast(frames, model, horizon=10, grid=grid)
     truth = []
     for j in range(1, 11):
-        tj = t[-1] + 0.2 * j
+        tj = t[-1] + seq2seq.FRAME_DT * seq2seq.LABEL_STRIDE * j
         truth.append(ogm.flatten(ogm.quantize(x0 + vx * tj, y0 + vy * tj, grid), grid))
     ok = forecast == truth
     return ok, "forecast equals ground truth" if ok else f"mismatch {forecast} vs {truth}"

@@ -66,16 +66,15 @@ def trained():
     train_seconds = time.perf_counter() - t0
     params = result.params
 
-    def model_fn(inputs):
-        return seq2seq.beam_search_decode(params, seq2seq.encode(params, inputs))
-
-    model_report = metrics.evaluate(model_fn, test_w, metrics.EvalConfig(), GRID)
-
-    def kalman_fn(inputs):
-        seq = kalman.kf_forecast(inputs, kalman.CvModel(), MODEL_CFG.horizon, GRID)
-        return seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(seq, 0.0)])
-
-    kalman_report = metrics.evaluate(kalman_fn, test_w, metrics.EvalConfig(omegas=(1,)), GRID)
+    # every test window in one scene: each vehicle decodes to the bits it
+    # has alone, as with one encode + beam_search_decode per window
+    inputs = [w.inputs for w in test_w]
+    labels = [w.labels for w in test_w]
+    predictions = seq2seq.predict_scene(params, inputs)
+    model_report = metrics.score_predictions(predictions, labels, metrics.EvalConfig(), GRID)
+    classes = kalman.kf_forecast_rows(np.stack(inputs), kalman.CvModel(), MODEL_CFG.horizon, GRID)
+    kalman_predictions = [seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(q, 0.0)]) for q in classes.tolist()]
+    kalman_report = metrics.score_predictions(kalman_predictions, labels, metrics.EvalConfig(omegas=(1,)), GRID)
     return {
         "params": params,
         "result": result,

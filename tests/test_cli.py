@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gridcast import datagen, kalman, metrics, nn, ogm, seq2seq, training
-from gridcast.cli import _SECTIONS, ConfigError, load_run_config, main, validate_run_config
+from gridcast.cli import _SECTIONS, ConfigError, RunConfig, load_run_config, main, validate_run_config
 
 # a toy setup that trains in seconds: 6x3 grid, 4-dim cells, 1 s window
 TOY = [
@@ -503,13 +503,77 @@ class TestPipeline:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
-    def test_overfit_mode(self, workdir, capsys):
+    def test_eval_kalman_singular_covariance_exits_2(self, workdir, tmp_path, capsys):
+        series = str(tmp_path / "series.csv")
+        rc = main(["eval", "--kalman", "--data", workdir["data"], "--out-series", series] + toy_args("kalman.init_vel_var=1e308"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: Kalman innovation covariance is singular at frame 1 for CvModel\(.*init_vel_var=1e\+308\)", err)
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_overfit_mode(self, workdir, tmp_path, capsys):
         ckpt = os.path.join(workdir["dir"], "overfit.ckpt")
         rc = main(["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3",
                    "--overfit", "4"] + toy_args("train.max_epochs=400", "train.lr0=0.01"))
         assert rc == 0
         out = capsys.readouterr().out
         assert "overfit mode" in out
+        # N below 1 is rejected before the data is read
+        for n in ("0", "-3"):
+            rc = main(["train", "--data", workdir["data"], "--out", str(tmp_path / "bad.ckpt"), "--overfit", n] + toy_args())
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --overfit needs N >= 1, got {n}\n"
+            assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+
+class TestFixedSettings:
+    """The frame period, the decode period and the input width have one
+    working value each. Config files written while they were settings still
+    load at that value; any other value exits 2 before any work."""
+
+    OLD_KEYS = "model.input_dim = 6       # observation features per frame\neval.decode_period_s = 0.2\nkalman.dt = 0.1\n"
+
+    def test_older_example_config_loads_to_the_defaults(self, tmp_path):
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", "example.cfg"), encoding="utf-8") as f:
+            text = f.read()
+        path = str(tmp_path / "old.cfg")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text + self.OLD_KEYS)
+        assert load_run_config(path) == RunConfig()
+        assert load_run_config(None, ["model.input_dim=6", "eval.decode_period_s=0.20", "kalman.dt=1e-1"]) == RunConfig()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("kalman.dt=0.05", "section 'kalman': dt is fixed at 0.1, got 0.05"),
+            ("eval.decode_period_s=0.4", "section 'eval': decode_period_s is fixed at 0.2, got 0.4"),
+            ("model.input_dim=7", "section 'model': input_dim is fixed at 6, got 7"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["eval-kalman", "train", "datagen"])
+    def test_other_value_exits_2_naming_the_key(self, workdir, tmp_path, capsys, override, message, command):
+        out = str(tmp_path / "out")
+        argv = {
+            "eval-kalman": ["eval", "--kalman", "--data", workdir["data"], "--out-series", out],
+            "train": ["train", "--data", workdir["data"], "--out", out],
+            "datagen": ["datagen", "--out", out],
+        }[command]
+        assert main(argv + toy_args(override)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message} (command line)\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+    def test_other_value_in_a_file_names_its_line(self, tmp_path, capsys):
+        path = str(tmp_path / "old.cfg")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(self.OLD_KEYS.replace("kalman.dt = 0.1", "kalman.dt = 0.2"))
+        assert main(["datagen", "--config", path, "--out", str(tmp_path / "x.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: section 'kalman': dt is fixed at 0.1, got 0.2 ({path}:3)\n"
+        assert os.listdir(tmp_path) == ["old.cfg"]
 
 
 class TestBadInput:

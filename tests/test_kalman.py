@@ -1,28 +1,30 @@
 """Constant-velocity Kalman baseline: propagation, correction against the
 closed-form scalar filter, covariance discipline, forecast exactness, the
-row-batched filter against single rows and the predict/update chain, and
-model validation."""
+row-batched filter against single rows and the predict/update chain, model
+validation, and the forecast cadence against the label cadence."""
 
 import numpy as np
 import pytest
 
-from gridcast import ogm
+from gridcast import ogm, training
 from gridcast.kalman import (
     CvModel,
     KalmanState,
+    gain_schedule,
     kf_filter_rows,
     kf_forecast,
     kf_forecast_rows,
     kf_predict,
     kf_update,
 )
+from gridcast.seq2seq import FRAME_DT, LABEL_STRIDE
 
 MODEL = CvModel()
 GRID = ogm.GridSpec()
 
 
 def cv_frames(n, x0, y0, vx, vy, ego_speed=25.0):
-    t = np.arange(n) * MODEL.dt
+    t = np.arange(n) * FRAME_DT
     return np.column_stack(
         [np.full(n, ego_speed), np.zeros(n), x0 + vx * t, y0 + vy * t, np.full(n, vx), np.full(n, vy)]
     )
@@ -94,7 +96,7 @@ class TestForecast:
         x0, y0, vx, vy = 40.0, -1.5, 6.0, 0.3
         frames = cv_frames(30, x0, y0, vx, vy)
         forecast = kf_forecast(frames, MODEL, horizon=10, grid=GRID)
-        t_last = 29 * MODEL.dt
+        t_last = 29 * FRAME_DT
         expected = []
         for j in range(1, 11):
             x = x0 + vx * (t_last + 0.2 * j)
@@ -106,7 +108,7 @@ class TestForecast:
         x0, y0, vx, vy = 40.0, -1.5, 6.0, 0.3
         frames = cv_frames(30, x0, y0, vx, vy)
         means, _ = kf_filter_rows(frames[None], MODEL)
-        t_last = 29 * MODEL.dt
+        t_last = 29 * FRAME_DT
         assert np.allclose(means[0], [x0 + vx * t_last, y0 + vy * t_last, vx, vy], atol=1e-9)
 
     def test_track_exiting_range_goes_out_of_map(self):
@@ -209,9 +211,6 @@ class TestModelValidation:
             ("sigma_a", -1.0, "sigma_a must be non-negative"),
             ("sigma_y", 0.0, "sigma_y must be positive"),
             ("sigma_vx", -0.5, "sigma_vx must be positive"),
-            ("dt", -1.0, "dt must be positive"),
-            ("dt", 0.0, "dt must be positive"),
-            ("dt", 1e80, "process noise overflows for dt = 1e+80"),
             ("init_pos_var", -5.0, "init_pos_var must be positive"),
             ("init_vel_var", 0.0, "init_vel_var must be positive"),
         ],
@@ -222,9 +221,18 @@ class TestModelValidation:
 
     def test_covariance_overflow_over_the_window_rejected(self):
         # each field is in range, but the predicted covariance overflows
-        model = CvModel(dt=10.0, init_vel_var=1e308)
+        model = CvModel(sigma_vx=1.3e154, init_vel_var=1e308)
         with pytest.raises(ValueError, match="Kalman covariance overflows over 30 frames"):
             kf_forecast(cv_frames(30, 40.0, 0.0, 1.0, 0.0), model, 10, GRID)
+
+    def test_singular_innovation_covariance_rejected_naming_the_model(self):
+        # beside a 1e308 velocity variance the measurement noise rounds away,
+        # and the innovation covariance is rank-deficient
+        model = CvModel(init_vel_var=1e308)
+        with pytest.raises(ValueError, match=r"innovation covariance is singular at frame 1 for CvModel\(.*init_vel_var=1e\+308"):
+            gain_schedule(model, 30)
+        with pytest.raises(ValueError, match="innovation covariance is singular"):
+            kf_forecast_rows(noisy_windows(3), model, 10, GRID)
 
     def test_zero_process_noise_accepted(self):
         frames = cv_frames(30, 40.0, -1.5, 6.0, 0.3)
@@ -236,3 +244,23 @@ def test_noise_matrices_psd():
     r = MODEL.measurement_noise
     assert np.all(np.linalg.eigvalsh(q) >= -1e-12)
     assert np.all(np.linalg.eigvalsh(r) > 0)
+
+
+class TestCadence:
+    """The forecast steps at the label cadence: LABEL_STRIDE predictions of
+    FRAME_DT each per output step, as crop_windows takes every LABEL_STRIDE-th
+    frame as a label."""
+
+    @pytest.mark.parametrize(
+        "x0,y0,vx,vy", [(6.37, -5.9, 26.3, 0.93), (176.2, 3.1, -27.7, -1.37), (3.4, -8.3, 27.9, 2.71)]
+    )
+    def test_noiseless_forecast_equals_cropped_labels(self, x0, y0, vx, vy):
+        obs_len, horizon = 30, 10
+        windows, too_short = training.crop_windows([cv_frames(62, x0, y0, vx, vy)], obs_len, horizon, GRID)
+        assert too_short == 0
+        forecasts = kf_forecast_rows(np.stack([w.inputs for w in windows]), MODEL, horizon, GRID)
+        labels = np.stack([w.labels for w in windows])
+        # the track stays in map and crosses a 5 m cell row at every step, so
+        # a cadence one frame off moves some forecast to another cell
+        assert (labels != GRID.out_of_map_class).all() and (np.diff(labels, axis=1) != 0).all()
+        assert np.array_equal(forecasts, labels)

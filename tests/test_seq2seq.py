@@ -640,6 +640,30 @@ class TestCheckpoints:
         b = beam_search_decode(new, encode(new, obs)).hypotheses
         assert [(h.sequence, h.log_prob) for h in a] == [(h.sequence, h.log_prob) for h in b]
 
+    @pytest.mark.parametrize("input_dim", [6, 7])
+    def test_recorded_input_width_must_be_six(self, tmp_path, input_dim):
+        # files written while the input width was a setting record it first
+        # in the config; only its one working value loads
+        config, params = tiny_model(seed=39)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_checkpoint(params, path)
+        with open(path, "rb") as f:
+            head, blobs = f.read().split(b"\n#BLOBS\n", 1)
+        first_line, manifest = head.decode().split("\n", 1)
+        manifest = json.loads(manifest)
+        manifest["config"] = {"input_dim": input_dim, **manifest["config"]}
+        old = os.path.join(tmp_path, "old.ckpt")
+        with open(old, "wb") as f:
+            f.write(f"{first_line}\n{json.dumps(manifest)}\n#BLOBS\n".encode() + blobs)
+        if input_dim != 6:
+            with pytest.raises(CheckpointError, match=re.escape(f"{old}: invalid manifest contents (input_dim must be 6)")):
+                load_checkpoint(old)
+            return
+        loaded = load_checkpoint(old)
+        assert loaded.config == params.config
+        for (name_a, a), (name_b, b) in zip(params.checkpoint_items(), loaded.checkpoint_items()):
+            assert name_a == name_b and np.array_equal(a, b)
+
     def test_load_draws_no_random_numbers(self, tmp_path):
         config, params = tiny_model(seed=38)
         path = os.path.join(tmp_path, "model.ckpt")
