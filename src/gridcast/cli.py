@@ -179,7 +179,8 @@ def _apply_seed(cfg: RunConfig, seed: int | None) -> RunConfig:
 
 
 def validate_run_config(cfg: RunConfig) -> None:
-    """Cross-field checks, run before any heavy work."""
+    """Cross-field checks, run before any heavy work. eval --checkpoint
+    makes them against the checkpoint's config instead (cmd_eval)."""
     if max(cfg.eval.omegas) > cfg.model.beam_width:
         raise ConfigError(
             f"eval omega {max(cfg.eval.omegas)} exceeds beam width {cfg.model.beam_width}"
@@ -202,44 +203,31 @@ def validate_run_config(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _split_records(records, manifest):
-    splits = manifest["splits"]
-    by_split = {name: [] for name in ("train", "val", "test")}
-    for rec in records:
-        for name in by_split:
-            if rec.scenario_id in splits[name]:
-                by_split[name].append(rec)
-    return by_split
-
-
 def cmd_datagen(cfg: RunConfig, out_path: str) -> int:
     stages = _Stages()
     records, manifest = datagen.generate_dataset(cfg.data)
     stages.lap("generate")
     try:
-        datagen.write_dataset(records, out_path)
-        datagen.write_manifest(manifest, out_path)
+        binding = datagen.write_dataset(records, out_path)
+        datagen.write_manifest(manifest, out_path, dataset=binding)
     except OSError as exc:
         print(f"error: writing {out_path}: {exc}", file=sys.stderr)
         return 2
     stages.lap("write")
-    by_split = _split_records(records, manifest)
+    positions = datagen.split_positions([rec.scenario_id for rec in records], manifest["splits"])
     print(f"wrote {len(records)} sequences to {out_path}")
-    for name in ("train", "val", "test"):
-        recs = by_split[name]
-        counts = [training.window_count(rec.frames.shape[0], cfg.model.obs_len, cfg.model.horizon) for rec in recs]
+    for name, pos in positions.items():
+        counts = [training.window_count(records[i].frames.shape[0], cfg.model.obs_len, cfg.model.horizon) for i in pos]
         skipped = counts.count(0)
         note = f" ({skipped} records too short)" if skipped else ""
-        print(f"  {name}: {len(recs)} sequences, {sum(counts)} usable windows{note}")
+        print(f"  {name}: {len(pos)} sequences, {sum(counts)} usable windows{note}")
     stages.lap("count")
     stages.report("datagen", "records", len(records))
     return 0
 
 
 def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int | None) -> int:
-    records = datagen.read_dataset(data_path)
-    manifest = datagen.read_manifest(data_path)
-    by_split = _split_records(records, manifest)
+    by_split, _ = datagen.read_dataset(data_path, splits=("train", "val"))
     train_windows, _ = training.crop_windows(by_split["train"], cfg.model.obs_len, cfg.model.horizon, cfg.model.grid)
     val_windows, _ = training.crop_windows(by_split["val"], cfg.model.obs_len, cfg.model.horizon, cfg.model.grid)
     if not train_windows or not val_windows:
@@ -371,9 +359,6 @@ def cmd_eval(
     series_path: str | None,
 ) -> int:
     stages = _Stages()
-    records = datagen.read_dataset(data_path)
-    manifest = datagen.read_manifest(data_path)
-    test_records = _split_records(records, manifest)["test"]
     eval_cfg = cfg.eval
     if use_kalman:
         model_cfg = cfg.model
@@ -387,7 +372,23 @@ def cmd_eval(
             raise ConfigError(
                 f"eval omega {max(eval_cfg.omegas)} exceeds beam width {model_cfg.beam_width}"
             )
+        max_step = max(eval_cfg.horizon_steps())
+        if max_step > model_cfg.horizon:
+            raise ConfigError(
+                f"eval.horizons_s needs {max_step} decode steps, checkpoint {checkpoint_path} "
+                f"decodes {model_cfg.horizon}"
+            )
         label = f"encoder-decoder checkpoint {checkpoint_path} (K={model_cfg.beam_width})"
+    by_split, records_read = datagen.read_dataset(data_path, splits=("test",))
+    test_records = by_split["test"]
+    if not use_kalman:
+        need = model_cfg.obs_len + seq2seq.LABEL_STRIDE * model_cfg.horizon
+        longest = max((rec.frames.shape[0] for rec in test_records), default=need)
+        if longest < need:
+            raise ConfigError(
+                f"test records of at most {longest} frames cannot hold checkpoint {checkpoint_path}'s "
+                f"{model_cfg.obs_len}+{seq2seq.LABEL_STRIDE}*{model_cfg.horizon} window ({need} frames)"
+            )
     stages.lap("read")
 
     grid = model_cfg.grid
@@ -416,7 +417,9 @@ def cmd_eval(
         f.write(series.encode("utf-8"))
     print(f"series written to {series_path}")
     stages.lap("write")
-    stages.report("eval", "windows", len(test_windows), records_too_short=too_short, shards=shards)
+    stages.report(
+        "eval", "windows", len(test_windows), records_too_short=too_short, shards=shards, records_read=records_read
+    )
     return 0
 
 
@@ -484,7 +487,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _apply_seed(cfg, getattr(args, "seed", None))
         if args.command == "eval" and args.omega:
             cfg = replace(cfg, eval=replace(cfg.eval, omegas=tuple(args.omega)))
-        validate_run_config(cfg)
+        if not (args.command == "eval" and args.checkpoint is not None):
+            validate_run_config(cfg)  # eval --checkpoint checks against the checkpoint's config
         if args.command == "datagen":
             return cmd_datagen(cfg, args.out)
         if args.command == "train":

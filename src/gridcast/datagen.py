@@ -16,9 +16,12 @@ Frames tick every FRAME_DT (100 ms).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ __all__ = [
     "read_dataset",
     "write_manifest",
     "read_manifest",
+    "split_positions",
 ]
 
 MANEUVERS = ("lane_keep", "lane_change", "cut_in", "merge")
@@ -258,8 +262,28 @@ def generate_dataset(config: ScenarioConfig):
 # ---------------------------------------------------------------------------
 
 
-def write_dataset(records: list[TrajectoryRecord], path: str) -> None:
-    """Stream the records into path, atomically (temp file + rename)."""
+SPLITS = ("train", "val", "test")
+
+
+def split_positions(scenario_ids, splits: dict, names=SPLITS) -> dict[str, list[int]]:
+    """{name: the positions in scenario_ids that belong to split name, in
+    order} for each of names; splits maps split names to scenario-id lists,
+    as a manifest's "splits" does."""
+    out = {}
+    for name in names:
+        members = set(splits[name])
+        out[name] = [i for i, sid in enumerate(scenario_ids) if sid in members]
+    return out
+
+
+def write_dataset(records: list[TrajectoryRecord], path: str) -> dict:
+    """Stream the records into path, atomically (temp file + rename).
+
+    Returns the file's binding for write_manifest, taken from the lines as
+    they stream out: their total length in bytes, their crc32, and an index
+    with one [scenario_id, lines] run per stretch of consecutive lines of
+    one scenario, in file order."""
+    size, crc, index = 0, 0, []
     with write_atomic(path, prefix=".dataset-") as f:
         for rec in records:
             obj = {
@@ -267,54 +291,133 @@ def write_dataset(records: list[TrajectoryRecord], path: str) -> None:
                 "vehicle_id": rec.vehicle_id,
                 "frames": rec.frames.tolist(),
             }
-            f.write((json.dumps(obj) + "\n").encode("utf-8"))
+            line = (json.dumps(obj) + "\n").encode("utf-8")
+            f.write(line)
+            size += len(line)
+            crc = zlib.crc32(line, crc)
+            if index and index[-1][0] == rec.scenario_id:
+                index[-1][1] += 1
+            else:
+                index.append([rec.scenario_id, 1])
+    return {"bytes": size, "crc32": crc, "index": index}
 
 
-def read_dataset(path: str) -> list[TrajectoryRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise DatasetFormatError(f"{path}:{lineno}: record must be a JSON object")
-            for key in ("scenario_id", "vehicle_id", "frames"):
-                if key not in obj:
-                    raise DatasetFormatError(f"{path}:{lineno}: missing field {key!r}")
-            for key in ("scenario_id", "vehicle_id"):
-                if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-                    raise DatasetFormatError(f"{path}:{lineno}: field {key!r} must be an integer, got {obj[key]!r}")
-            sid, vid = obj["scenario_id"], obj["vehicle_id"]
-            where = f"{path}:{lineno}: scenario {sid} vehicle {vid}"
-            try:
-                frames = np.asarray(obj["frames"], dtype=np.float64)
-            except (TypeError, ValueError):  # ragged rows or non-numbers form no array
-                frames = None
-            if frames is None or frames.ndim != 2 or frames.shape[1] != 6:
-                raise DatasetFormatError(f"{where}: frames must be rows of 6 features")
-            bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
-            if bad.size:
-                raise DatasetFormatError(f"{where}: non-finite value in frame {bad[0]}")
-            records.append(TrajectoryRecord(scenario_id=sid, vehicle_id=vid, frames=frames))
-    return records
+def _parse_record(raw: bytes, path: str, lineno: int) -> TrajectoryRecord | None:
+    """The record on one dataset line, or None for a blank line."""
+    try:
+        line = raw.decode("utf-8")
+        if not line.strip():
+            return None
+        obj = json.loads(line)
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"{path}:{lineno}: record must be a JSON object")
+    for key in ("scenario_id", "vehicle_id", "frames"):
+        if key not in obj:
+            raise DatasetFormatError(f"{path}:{lineno}: missing field {key!r}")
+    for key in ("scenario_id", "vehicle_id"):
+        if not _is_int(obj[key]):
+            raise DatasetFormatError(f"{path}:{lineno}: field {key!r} must be an integer, got {obj[key]!r}")
+    sid, vid = obj["scenario_id"], obj["vehicle_id"]
+    where = f"{path}:{lineno}: scenario {sid} vehicle {vid}"
+    try:
+        frames = np.asarray(obj["frames"], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows or non-numbers form no array
+        frames = None
+    if frames is None or frames.ndim != 2 or frames.shape[1] != 6:
+        raise DatasetFormatError(f"{where}: frames must be rows of 6 features")
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"{where}: non-finite value in frame {bad[0]}")
+    return TrajectoryRecord(scenario_id=sid, vehicle_id=vid, frames=frames)
+
+
+def _parse_lines(path: str, lines) -> list[TrajectoryRecord]:
+    parsed = (_parse_record(raw, path, lineno) for lineno, raw in enumerate(lines, start=1))
+    return [rec for rec in parsed if rec is not None]
+
+
+def read_dataset(path: str, splits: tuple[str, ...] | None = None):
+    """The records of the dataset at path, in file order.
+
+    With splits, a tuple of split names, the manifest beside path selects
+    the records, and the result is ({name: that split's records in file
+    order}, records parsed). A manifest bound to the dataset (written with
+    dataset=) must record the file's byte length and crc32, or the read
+    fails naming both paths; then only the named splits' lines are parsed,
+    found through the manifest's index. An unbound manifest (written
+    without dataset=, or before bindings existed) selects from every record
+    of the file, and nothing ties it to the file's contents."""
+    with open(path, "rb") as f:
+        if splits is None:
+            return _parse_lines(path, f)
+        manifest, binding = _load_manifest(path)
+        if binding is None:
+            records = _parse_lines(path, f)
+            positions = split_positions([rec.scenario_id for rec in records], manifest["splits"], splits)
+            return {name: [records[i] for i in pos] for name, pos in positions.items()}, len(records)
+        index = binding["index"]
+        positions = split_positions([sid for sid, _ in index], manifest["splits"], splits)
+        kept = {k: [] for runs in positions.values() for k in runs}
+        # starts[k]: the first line of run k; starts[-1]: one past the last
+        starts = list(itertools.accumulate((count for _, count in index), initial=1))
+        # every line goes through the length and crc32; the selected runs'
+        # lines are kept, unparsed until the file has proved to be the bound one
+        size, crc, n_lines = 0, 0, 0
+        for n_lines, raw in enumerate(f, start=1):
+            size += len(raw)
+            crc = zlib.crc32(raw, crc)
+            run = bisect.bisect_right(starts, n_lines) - 1
+            if run in kept:
+                kept[run].append((n_lines, raw))
+    if (size, crc) != (binding["bytes"], binding["crc32"]):
+        raise DatasetFormatError(
+            f"{path} does not match its manifest {manifest_path(path)}: the dataset has {size} bytes "
+            f"with crc32 {crc:08x}, the manifest records {binding['bytes']} bytes with crc32 {binding['crc32']:08x}"
+        )
+    if n_lines != starts[-1] - 1:
+        raise DatasetFormatError(
+            f"{manifest_path(path)}: field 'dataset.index' covers {starts[-1] - 1} lines of {path}'s {n_lines}"
+        )
+    by_split = {}
+    for name, runs in positions.items():
+        by_split[name] = []
+        for k in runs:
+            records = [_parse_record(raw, path, lineno) for lineno, raw in kept[k]]
+            if any(rec is None or rec.scenario_id != index[k][0] for rec in records):
+                raise DatasetFormatError(f"{manifest_path(path)}: field 'dataset.index' run {k} does not match {path}")
+            by_split[name] += records
+    return by_split, sum(len(recs) for recs in by_split.values())
 
 
 def manifest_path(dataset_path: str) -> str:
     return dataset_path + ".manifest.json"
 
 
-def write_manifest(manifest: dict, dataset_path: str) -> None:
+def write_manifest(manifest: dict, dataset_path: str, dataset: dict | None = None) -> None:
+    """Write the manifest beside dataset_path. dataset, the binding that
+    write_dataset returned, is stored under the key "dataset" and binds the
+    manifest to those bytes; without it the manifest is unbound."""
+    if dataset is not None:
+        manifest = {**manifest, "dataset": dataset}
     with write_atomic(manifest_path(dataset_path), prefix=".manifest-") as f:
         f.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_manifest(dataset_path: str) -> dict:
     """The manifest beside dataset_path; it must hold the three splits as
-    lists of integer scenario ids."""
+    lists of integer scenario ids. A binding, if present, is validated and
+    left out of the result."""
+    return _load_manifest(dataset_path)[0]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _load_manifest(dataset_path: str) -> tuple[dict, dict | None]:
+    """(manifest without its binding, binding or None), both validated."""
     path = manifest_path(dataset_path)
     if not os.path.exists(path):
         raise DatasetFormatError(f"missing manifest {path}")
@@ -330,10 +433,27 @@ def read_manifest(dataset_path: str) -> dict:
     splits = manifest["splits"]
     if not isinstance(splits, dict):
         raise DatasetFormatError(f"{path}: field 'splits' must be an object, got {splits!r}")
-    for name in ("train", "val", "test"):
+    for name in SPLITS:
         if name not in splits:
             raise DatasetFormatError(f"{path}: missing field 'splits.{name}'")
         ids = splits[name]
-        if not isinstance(ids, list) or not all(isinstance(i, int) and not isinstance(i, bool) for i in ids):
+        if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
             raise DatasetFormatError(f"{path}: field 'splits.{name}' must be a list of integer scenario ids, got {ids!r}")
-    return manifest
+    binding = manifest.pop("dataset", None)
+    if binding is None:
+        return manifest, None
+    if not isinstance(binding, dict):
+        raise DatasetFormatError(f"{path}: field 'dataset' must be an object, got {binding!r}")
+    for key in ("bytes", "crc32", "index"):
+        if key not in binding:
+            raise DatasetFormatError(f"{path}: missing field 'dataset.{key}'")
+    if not _is_int(binding["bytes"]) or binding["bytes"] < 0:
+        raise DatasetFormatError(f"{path}: field 'dataset.bytes' must be a non-negative integer, got {binding['bytes']!r}")
+    if not _is_int(binding["crc32"]) or not 0 <= binding["crc32"] < 2**32:
+        raise DatasetFormatError(f"{path}: field 'dataset.crc32' must be an integer in [0, 2**32), got {binding['crc32']!r}")
+    index = binding["index"]
+    if not isinstance(index, list) or not all(
+        isinstance(run, list) and len(run) == 2 and all(_is_int(v) for v in run) and run[1] >= 1 for run in index
+    ):
+        raise DatasetFormatError(f"{path}: field 'dataset.index' must be a list of [scenario_id, lines] runs of at least one line")
+    return manifest, binding

@@ -1,17 +1,21 @@
 """Command-line surface: config parsing and validation, the full
 datagen -> train -> predict -> eval pipeline at toy scale, verify battery."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcast import datagen, kalman, metrics, nn, ogm, seq2seq, training
 from gridcast.cli import _SECTIONS, ConfigError, RunConfig, load_run_config, main, validate_run_config
@@ -372,6 +376,26 @@ class TestPipeline:
         assert call.args[0].shape == (10, 10, 6)  # one test scenario: 2 vehicles x 5 windows
         assert (capsys.readouterr().out, (tmp_path / "series.csv").read_bytes()) == expected
 
+    @pytest.mark.parametrize("source", ["kalman", "checkpoint"])
+    def test_eval_parses_only_the_test_records_of_a_bound_dataset(self, workdir, tmp_path, capsys, source):
+        args = ["--kalman"] if source == "kalman" else ["--checkpoint", workdir["ckpt"]]
+        # the same dataset beside an unbound manifest: every record is parsed
+        unbound = str(tmp_path / "unbound.jsonl")
+        shutil.copyfile(workdir["data"], unbound)
+        datagen.write_manifest(datagen.read_manifest(workdir["data"]), unbound)
+        runs = []
+        for data in (workdir["data"], unbound):
+            series = str(tmp_path / "series.csv")
+            assert main(["eval", *args, "--data", data, "--out-series", series] + toy_args()) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out, (tmp_path / "series.csv").read_bytes(), json.loads(captured.err.splitlines()[-1])))
+        (bound_out, bound_series, bound_line), (out, series_bytes, line) = runs
+        test_ids = datagen.read_manifest(workdir["data"])["splits"]["test"]
+        records = datagen.read_dataset(workdir["data"])
+        assert bound_line["records_read"] == sum(rec.scenario_id in test_ids for rec in records) < len(records)
+        assert line["records_read"] == len(records)
+        assert (bound_out, bound_series, bound_line["windows"]) == (out, series_bytes, line["windows"])
+
     def test_eval_requires_exactly_one_source(self, workdir, capsys):
         rc = main(["eval", "--data", workdir["data"]] + toy_args())
         assert rc == 2
@@ -383,6 +407,40 @@ class TestPipeline:
                    "--omega", "9"] + toy_args())
         assert rc == 2
         assert "beam width" in capsys.readouterr().err
+
+    def test_eval_checkpoint_ignores_the_calls_model_config(self, workdir, tmp_path, capsys):
+        # the call's default model (30+2*10 frames) does not fit 20-frame
+        # records; the checkpoint's 10+2*3 window does, and decides
+        series = str(tmp_path / "series.csv")
+        argv = ["eval", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--out-series", series]
+        assert main(argv + toy_args()) == 0
+        expected = capsys.readouterr().out, (tmp_path / "series.csv").read_bytes()
+        own = ["eval.omegas=1,3", "eval.horizons_s=0.2,0.6", "data.frames_per_record=20"]
+        assert main(argv + [a for item in own for a in ("--set", item)]) == 0
+        assert (capsys.readouterr().out, (tmp_path / "series.csv").read_bytes()) == expected
+
+    def test_eval_checkpoint_horizons_checked_before_decoding(self, workdir, tmp_path, capsys):
+        # the call's model fits the default 2.0 s horizon; the 3-step checkpoint does not
+        series = str(tmp_path / "series.csv")
+        own = ["eval.omegas=1,3", "model.obs_len=1", "model.horizon=10", "data.frames_per_record=21"]
+        argv = ["eval", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--out-series", series]
+        with mock.patch.object(seq2seq, "predict_scene") as decode:
+            assert main(argv + [a for item in own for a in ("--set", item)]) == 2
+        decode.assert_not_called()
+        err = capsys.readouterr().err
+        assert err == f"error: eval.horizons_s needs 10 decode steps, checkpoint {workdir['ckpt']} decodes 3\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_eval_checkpoint_window_checked_against_the_test_records(self, workdir, tmp_path, capsys):
+        records = datagen.read_dataset(workdir["data"])
+        for rec in records:
+            rec.frames = rec.frames[:15]  # one frame short of the checkpoint's 10+2*3 window
+        data, series = str(tmp_path / "short.jsonl"), str(tmp_path / "series.csv")
+        datagen.write_manifest(datagen.read_manifest(workdir["data"]), data, dataset=datagen.write_dataset(records, data))
+        assert main(["eval", "--checkpoint", workdir["ckpt"], "--data", data, "--out-series", series] + toy_args()) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: test records of at most 15 frames cannot hold checkpoint {workdir['ckpt']}'s 10+2*3 window (16 frames)\n"
+        assert not os.path.exists(series)
 
     def test_eval_crops_on_the_checkpoint_grid(self, tmp_path):
         # trained on 4 m cells (x in [0, 24) m); eval with no grid flags must
@@ -422,7 +480,8 @@ class TestPipeline:
         assert telemetry["windows"] == windows
         assert telemetry["windows_per_s"] > 0
         assert telemetry["records_too_short"] == 1
-        assert list(telemetry) == ["command", "stage_s", "windows", "windows_per_s", "records_too_short", "shards"]
+        assert telemetry["records_read"] == len(records)  # an unbound manifest: every record is parsed
+        assert list(telemetry) == ["command", "stage_s", "windows", "windows_per_s", "records_too_short", "shards", "records_read"]
         if source == "kalman":
             # stdout and series are those of one kf_forecast call per window
             cfg = load_run_config(None, TOY)
@@ -714,6 +773,35 @@ class TestBadInput:
         assert "disk full" in capsys.readouterr().err
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
+    def test_torn_dataset_and_manifest_pair_exits_2(self, workdir, tmp_path, capsys):
+        # the manifest's rename fails after the dataset's: a new dataset
+        # beside the old manifest, which no reader may use
+        data = str(tmp_path / "data.jsonl")
+        assert main(["datagen", "--out", data, "--seed", "3"] + toy_args()) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if str(dst).endswith(".manifest.json"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        with mock.patch("os.replace", failing_replace):
+            assert main(["datagen", "--out", data, "--seed", "4"] + toy_args()) == 2
+        assert (tmp_path / "data.jsonl").read_bytes() != before["data.jsonl"]
+        assert (tmp_path / "data.jsonl.manifest.json").read_bytes() == before["data.jsonl.manifest.json"]
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        for argv in (
+            ["eval", "--kalman", "--data", data, "--out-series", out],
+            ["eval", "--checkpoint", workdir["ckpt"], "--data", data, "--out-series", out],
+            ["train", "--data", data, "--out", out],
+        ):
+            assert main(argv + toy_args()) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {data} does not match its manifest {data}.manifest.json: "), argv
+            assert sorted(os.listdir(tmp_path)) == ["data.jsonl", "data.jsonl.manifest.json"]
+
     @pytest.mark.parametrize("mode", [[], ["--greedy"]])
     def test_non_finite_logits_exit_2_without_output(self, workdir, tmp_path, capsys, mode):
         params = seq2seq.load_checkpoint(workdir["ckpt"])
@@ -725,6 +813,45 @@ class TestBadInput:
         assert rc == 2
         assert "non-finite decoder logits" in capsys.readouterr().err
         assert not any(name.startswith(("pred", ".predict-")) for name in os.listdir(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def bound_bytes(tmp_path_factory):
+    """The bytes of a toy dataset and of its bound manifest."""
+    data = str(tmp_path_factory.mktemp("bound") / "data.jsonl")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["datagen", "--out", data, "--seed", "5"] + toy_args()) == 0
+    return open(data, "rb").read(), open(data + ".manifest.json", "rb").read()
+
+
+class TestCorruptDataset:
+    """Any flipped byte or truncation of a bound dataset is caught before a
+    record is used: eval and train exit 2 naming the dataset, with no
+    traceback and no output file."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(cut=st.data())
+    def test_flipped_byte_or_truncation_exits_2(self, bound_bytes, cut):
+        data, manifest = bound_bytes
+        offset = cut.draw(st.integers(0, len(data) - 1), label="offset")
+        if cut.draw(st.booleans(), label="truncate"):
+            damaged = data[:offset]
+        else:
+            damaged = data[:offset] + bytes([data[offset] ^ cut.draw(st.integers(1, 255), label="xor")]) + data[offset + 1 :]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.jsonl")
+            with open(path, "wb") as f:
+                f.write(damaged)
+            with open(path + ".manifest.json", "wb") as f:
+                f.write(manifest)
+            out = os.path.join(tmp, "out")
+            for argv in (["eval", "--kalman", "--data", path, "--out-series", out], ["train", "--data", path, "--out", out]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    assert main(argv + toy_args()) == 2
+                assert err.getvalue().startswith(f"error: {path} does not match its manifest "), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                assert sorted(os.listdir(tmp)) == ["data.jsonl", "data.jsonl.manifest.json"]
 
 
 class TestVerify:

@@ -6,15 +6,19 @@ import json
 import math
 import os
 import re
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcast import ogm
 from gridcast.datagen import (
     FRAME_DT,
     DatasetFormatError,
     ScenarioConfig,
+    TrajectoryRecord,
     generate_dataset,
     quintic_profile,
     read_dataset,
@@ -258,6 +262,10 @@ class TestGenerateDataset:
             generate_dataset(ScenarioConfig(n_scenarios=2))
 
 
+# a manifest with valid splits around the binding text
+_BOUND = '{{"splits": {{"train": [0], "val": [1], "test": [2]}}, "dataset": {}}}'
+
+
 class TestPersistence:
     def test_roundtrip_identity(self, tmp_path):
         records, manifest = generate_dataset(SMALL)
@@ -277,6 +285,59 @@ class TestPersistence:
         write_manifest(manifest, path)
         # JSON carries tuples as lists; compare in JSON space
         assert read_manifest(path) == json.loads(json.dumps(manifest))
+
+    def test_bound_manifest_reads_back_without_its_binding(self, tmp_path):
+        records, manifest = generate_dataset(SMALL)
+        path = os.path.join(tmp_path, "data.jsonl")
+        write_manifest(manifest, path, dataset=write_dataset(records, path))
+        assert "dataset" in json.loads(open(path + ".manifest.json").read())
+        assert read_manifest(path) == json.loads(json.dumps(manifest))
+
+    def test_binding_is_the_written_bytes(self, tmp_path):
+        records, manifest = generate_dataset(SMALL)
+        path = os.path.join(tmp_path, "data.jsonl")
+        binding = write_dataset(records, path)
+        data = open(path, "rb").read()
+        assert (binding["bytes"], binding["crc32"]) == (len(data), zlib.crc32(data))
+        # one run per scenario: the generator writes each scenario's vehicles together
+        assert binding["index"] == [[sid, 3] for sid in range(6)]
+
+    def test_bound_read_names_the_dataset_line(self, tmp_path):
+        # the index gives each selected line its number in the whole file
+        path = os.path.join(tmp_path, "data.jsonl")
+        row = [0.0] * 6
+        lines = [
+            json.dumps({"scenario_id": sid, "vehicle_id": 0, "frames": frames}).encode() + b"\n"
+            for sid, frames in ((0, [row]), (1, [row]), (2, [row, [1.0]]))
+        ]
+        data = b"".join(lines)
+        with open(path, "wb") as f:
+            f.write(data)
+        binding = {"bytes": len(data), "crc32": zlib.crc32(data), "index": [[sid, 1] for sid in range(3)]}
+        write_manifest({"splits": {"train": [0], "val": [1], "test": [2]}}, path, dataset=binding)
+        with pytest.raises(DatasetFormatError, match=r"data\.jsonl:3: scenario 2 vehicle 0: frames must be rows of 6"):
+            read_dataset(path, splits=("test",))
+        assert [len(recs) for recs in read_dataset(path, splits=("train", "val"))[0].values()] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # one line moved from the first run to the second: scenario 0's
+            # last line falls in scenario 1's run
+            (lambda index: [[0, 2], [1, 4]] + index[2:], r"field 'dataset\.index' run 1 does not match"),
+            (lambda index: [index[1], index[0]] + index[2:], r"field 'dataset\.index' run 0 does not match"),
+            (lambda index: index[:-1], r"field 'dataset\.index' covers 15 lines of .*data\.jsonl's 18"),
+            (lambda index: index + [[9, 1]], r"field 'dataset\.index' covers 19 lines of .*data\.jsonl's 18"),
+        ],
+        ids=["moved-line", "swapped-ids", "short", "long"],
+    )
+    def test_index_that_does_not_match_the_lines_names_the_manifest(self, tmp_path, edit, message):
+        records, manifest = generate_dataset(SMALL)
+        path = os.path.join(tmp_path, "data.jsonl")
+        binding = write_dataset(records, path)
+        write_manifest(manifest, path, dataset={**binding, "index": edit(binding["index"])})
+        with pytest.raises(DatasetFormatError, match=r"data\.jsonl\.manifest\.json: " + message):
+            read_dataset(path, splits=("train", "val", "test"))
 
     def test_missing_field_names_it(self, tmp_path):
         path = os.path.join(tmp_path, "data.jsonl")
@@ -312,6 +373,14 @@ class TestPersistence:
             f.write(json.dumps({"scenario_id": 0, "vehicle_id": 0, "frames": [[0.0] * 6]}) + "\n")
             f.write("{broken json\n")
         with pytest.raises(DatasetFormatError, match=":2"):
+            read_dataset(path)
+
+    def test_invalid_utf8_line_numbered(self, tmp_path):
+        path = os.path.join(tmp_path, "data.jsonl")
+        with open(path, "wb") as f:
+            f.write(json.dumps({"scenario_id": 0, "vehicle_id": 0, "frames": [[0.0] * 6]}).encode() + b"\n")
+            f.write(b'{"scenario_id": 0, "vehicle_id": 1, "frames": [[\xff]]}\n')
+        with pytest.raises(DatasetFormatError, match=r"data\.jsonl:2: invalid JSON \('utf-8' codec can't decode"):
             read_dataset(path)
 
     def test_wrong_frame_width_rejected(self, tmp_path):
@@ -354,8 +423,18 @@ class TestPersistence:
             ('{"splits": {"train": [0], "val": [1.5], "test": [2]}}', "field 'splits.val' must be a list of integer"),
             ('{"splits": {"train": [0], "val": [1], "test": [true]}}', "field 'splits.test' must be a list of integer"),
             ("{broken", "invalid JSON"),
+            (_BOUND.format("[]"), "field 'dataset' must be an object"),
+            (_BOUND.format('{"bytes": 1, "crc32": 0}'), "missing field 'dataset.index'"),
+            (_BOUND.format('{"bytes": -1, "crc32": 0, "index": []}'), "field 'dataset.bytes' must be a non-negative integer"),
+            (_BOUND.format('{"bytes": 0, "crc32": 4294967296, "index": []}'), "field 'dataset.crc32' must be an integer in [0, 2**32)"),
+            (_BOUND.format('{"bytes": 5, "crc32": 0, "index": [[0, 1, 5]]}'), "field 'dataset.index' must be a list of [scenario_id, lines] runs"),
+            (_BOUND.format('{"bytes": 5, "crc32": 0, "index": [[0, 0]]}'), "field 'dataset.index' must be a list of [scenario_id, lines] runs"),
+            (_BOUND.format('{"bytes": 5, "crc32": 0, "index": [[0, true]]}'), "field 'dataset.index' must be a list of [scenario_id, lines] runs"),
         ],
-        ids=["empty", "splits-list", "no-test", "list", "string-ids", "float-id", "bool-id", "invalid-json"],
+        ids=[
+            "empty", "splits-list", "no-test", "list", "string-ids", "float-id", "bool-id", "invalid-json",
+            "binding-list", "no-index", "negative-bytes", "crc-range", "run-width", "empty-run", "bool-lines",
+        ],
     )
     def test_malformed_manifest_names_path_and_field(self, tmp_path, text, field):
         path = os.path.join(tmp_path, "data.jsonl")
@@ -363,3 +442,45 @@ class TestPersistence:
             f.write(text)
         with pytest.raises(DatasetFormatError, match=rf"data\.jsonl\.manifest\.json: {re.escape(field)}"):
             read_manifest(path)
+
+
+# records of scenarios 0-5 in any order, each with 1-3 frames of small numbers
+_records = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.integers(0, 9),
+        st.lists(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6), min_size=1, max_size=3),
+    ),
+    max_size=12,
+).map(lambda rows: [TrajectoryRecord(sid, vid, np.array(frames)) for sid, vid, frames in rows])
+_splits = st.lists(st.sampled_from(("train", "val", "test")), min_size=6, max_size=6).map(
+    lambda names: {name: [sid for sid in range(6) if names[sid] == name] for name in ("train", "val", "test")}
+)
+_selections = st.lists(st.sampled_from(("train", "val", "test")), min_size=1, max_size=3, unique=True).map(tuple)
+
+
+class TestIndex:
+    """A bound manifest's index selects the same records as filtering the
+    whole file by split, whatever the order of the records; an unbound
+    manifest selects from the whole file."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(records=_records, splits=_splits, names=_selections, bound=st.booleans())
+    def test_selection_equals_the_filtered_file(self, records, splits, names, bound):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.jsonl")
+            binding = write_dataset(records, path)
+            write_manifest({"splits": splits}, path, dataset=binding if bound else None)
+            everything = read_dataset(path)
+            by_split, parsed = read_dataset(path, splits=names)
+        assert list(by_split) == list(names)
+        for name in names:
+            expected = [rec for rec in everything if rec.scenario_id in splits[name]]
+            got = by_split[name]
+            assert [(r.scenario_id, r.vehicle_id) for r in got] == [(r.scenario_id, r.vehicle_id) for r in expected]
+            assert all(np.array_equal(a.frames, b.frames) for a, b in zip(got, expected))
+        if bound:
+            assert parsed == sum(len(by_split[name]) for name in names)
+            assert sum(run[1] for run in binding["index"]) == len(records)
+        else:
+            assert parsed == len(records)
