@@ -19,6 +19,11 @@ import numpy as np
 
 from . import datagen, kalman, metrics, nn, ogm, seq2seq, training
 
+try:
+    import resource
+except ImportError:  # not on every platform (Windows)
+    resource = None
+
 __all__ = ["RunConfig", "ConfigError", "load_run_config", "validate_run_config", "main"]
 
 
@@ -331,6 +336,7 @@ class _Stages:
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = {}
+        self._faults = _minor_faults()
         self._start = time.perf_counter()
 
     def lap(self, name: str) -> None:
@@ -340,7 +346,9 @@ class _Stages:
 
     def report(self, command: str, items: str, count: int, **extra) -> None:
         """One JSON line on stderr: the stage seconds, the count of items
-        the command processed and their rate over all stages, then extra."""
+        the command processed and their rate over all stages, then extra,
+        then minor_faults, the process's minor page faults since the stages
+        began (left out where the resource module is missing)."""
         telemetry = {
             "command": command,
             "stage_s": {name: round(sec, 6) for name, sec in self.seconds.items()},
@@ -348,7 +356,15 @@ class _Stages:
             f"{items}_per_s": round(count / sum(self.seconds.values()), 3),
             **extra,
         }
+        if self._faults is not None:
+            telemetry["minor_faults"] = _minor_faults() - self._faults
         print(json.dumps(telemetry), file=sys.stderr)
+
+
+def _minor_faults() -> int | None:
+    """The minor page faults of this process so far, all threads, or None
+    without the resource module."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def cmd_eval(

@@ -346,9 +346,11 @@ def read_dataset(path: str, splits: tuple[str, ...] | None = None):
     order}, records parsed). A manifest bound to the dataset (written with
     dataset=) must record the file's byte length and crc32, or the read
     fails naming both paths; then only the named splits' lines are parsed,
-    found through the manifest's index. An unbound manifest (written
-    without dataset=, or before bindings existed) selects from every record
-    of the file, and nothing ties it to the file's contents."""
+    found through the manifest's index, and every other line must begin
+    with its index run's scenario id as write_dataset writes it. An unbound
+    manifest (written without dataset=, or before bindings existed) selects
+    from every record of the file, and nothing ties it to the file's
+    contents."""
     with open(path, "rb") as f:
         if splits is None:
             return _parse_lines(path, f)
@@ -363,14 +365,19 @@ def read_dataset(path: str, splits: tuple[str, ...] | None = None):
         # starts[k]: the first line of run k; starts[-1]: one past the last
         starts = list(itertools.accumulate((count for _, count in index), initial=1))
         # every line goes through the length and crc32; the selected runs'
-        # lines are kept, unparsed until the file has proved to be the bound one
-        size, crc, n_lines = 0, 0, 0
+        # lines are kept, unparsed until the file has proved to be the bound
+        # one, and every other line must open as write_dataset opens its
+        # run's records (lines past the index match the empty prefix)
+        prefixes = [f'{{"scenario_id": {sid}, '.encode() for sid, _ in index] + [b""]
+        size, crc, n_lines, mislabelled = 0, 0, 0, None
         for n_lines, raw in enumerate(f, start=1):
             size += len(raw)
             crc = zlib.crc32(raw, crc)
             run = bisect.bisect_right(starts, n_lines) - 1
             if run in kept:
                 kept[run].append((n_lines, raw))
+            elif mislabelled is None and not raw.startswith(prefixes[run]):
+                mislabelled = run
     if (size, crc) != (binding["bytes"], binding["crc32"]):
         raise DatasetFormatError(
             f"{path} does not match its manifest {manifest_path(path)}: the dataset has {size} bytes "
@@ -380,6 +387,8 @@ def read_dataset(path: str, splits: tuple[str, ...] | None = None):
         raise DatasetFormatError(
             f"{manifest_path(path)}: field 'dataset.index' covers {starts[-1] - 1} lines of {path}'s {n_lines}"
         )
+    if mislabelled is not None:
+        raise DatasetFormatError(f"{manifest_path(path)}: field 'dataset.index' run {mislabelled} does not match {path}")
     by_split = {}
     for name, runs in positions.items():
         by_split[name] = []

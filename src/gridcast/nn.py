@@ -40,11 +40,13 @@ __all__ = [
     "log_softmax",
     "DenseParams",
     "DenseTape",
+    "row_exact_padded",
     "dense_forward_cached",
     "dense_backward",
     "LstmParams",
     "LstmState",
     "LstmTape",
+    "lstm_input_product",
     "lstm_forward",
     "lstm_backward",
     "gradient_check",
@@ -85,7 +87,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     """log(softmax(logits)) over the last axis via the log-sum-exp shift."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - np.max(z, axis=-1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z -= np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +133,25 @@ def _product(u: np.ndarray, w: np.ndarray, row_exact: bool) -> np.ndarray:
     if not row_exact:
         return u @ w.T
     rows, width = len(u), len(w)
-    pad_rows, pad_width = -rows % 16, max(128 - width, -width % 4)
+    pad_rows, pad_width = -rows % 16, _width_pad(width)
     if pad_rows:
         u = np.concatenate([u, np.zeros((pad_rows, u.shape[1]))])
     if pad_width:
         w = np.concatenate([w, np.zeros((pad_width, w.shape[1]))])
     return (u @ w.T)[:rows, :width]
+
+
+def _width_pad(width: int) -> int:
+    return max(128 - width, -width % 4)
+
+
+def row_exact_padded(p: DenseParams) -> DenseParams:
+    """p with zero output rows appended as _product pads a weight. A
+    row-exact call on it makes no padded copy of the weight, and its first
+    len(p.weight) output columns have the bits of a row-exact call on p;
+    the rest are 0. For a layer whose weight many calls reuse."""
+    pad = _width_pad(len(p.weight))
+    return DenseParams(np.concatenate([p.weight, np.zeros((pad, p.in_dim))]), np.concatenate([p.bias, np.zeros(pad)]))
 
 
 def dense_forward_cached(
@@ -147,10 +163,11 @@ def dense_forward_cached(
     u = _rows(u, p.in_dim, "dense input")
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
-    out = _product(u, p.weight, row_exact) + p.bias
+    out = _product(u, p.weight, row_exact)
+    out += p.bias
     if activation == "none":
         return out, DenseTape(u=u, out=None)
-    out = relu(out)
+    np.maximum(out, 0.0, out=out)  # relu
     return out, DenseTape(u=u, out=out)
 
 
@@ -221,17 +238,35 @@ class LstmTape:
     _consumed: bool = field(default=False, repr=False)
 
 
+def lstm_input_product(p: LstmParams, u: np.ndarray, row_exact: bool = False) -> np.ndarray:
+    """u @ w_u.T over (rows, input_dim) inputs: the part of the gate
+    pre-activations that does not depend on the state, as lstm_forward's
+    u_product. Its rows may be many steps' inputs at once, since no step's
+    input depends on its own layer's state. row_exact as for
+    dense_forward_cached."""
+    return _product(_rows(u, p.input_dim, "lstm input"), p.w_u, row_exact)
+
+
 def lstm_forward(
-    p: LstmParams, u: np.ndarray, prev: LstmState, row_exact: bool = False
+    p: LstmParams, u: np.ndarray, prev: LstmState, row_exact: bool = False, u_product: np.ndarray | None = None
 ) -> tuple[LstmState, LstmTape]:
     """One step of the gate recursion over (rows, input_dim) inputs and a
     (rows, cell_dim) state; returns the next state and the tape. row_exact
-    as for dense_forward_cached."""
+    as for dense_forward_cached. u_product, when given, is these inputs'
+    lstm_input_product, computed beforehand with the same row_exact; the
+    pre-activations are (input product + state product) + bias either way."""
     u = _rows(u, p.input_dim, "lstm input")
     cdim = p.cell_dim
     if prev.c.shape != (len(u), cdim) or prev.h.shape != (len(u), cdim):
         raise ShapeError(f"lstm state must be ({len(u)}, {cdim}), got c {prev.c.shape}, h {prev.h.shape}")
-    z = _product(u, p.w_u, row_exact) + _product(prev.h, p.w_h, row_exact) + p.b
+    if u_product is None:
+        z = _product(u, p.w_u, row_exact)
+    elif u_product.shape == (len(u), 4 * cdim):
+        z = u_product.copy()
+    else:
+        raise ShapeError(f"lstm input product must be ({len(u)}, {4 * cdim}), got {u_product.shape}")
+    z += _product(prev.h, p.w_h, row_exact)
+    z += p.b
     f = sigmoid(z[:, :cdim])
     i = sigmoid(z[:, cdim : 2 * cdim])
     o = sigmoid(z[:, 2 * cdim : 3 * cdim])

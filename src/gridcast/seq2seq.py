@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from copy import deepcopy
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -69,6 +69,11 @@ LABEL_STRIDE = 2
 # row shard's per-step score array at DECODE_CHUNK * beam_width *
 # num_classes floats
 DECODE_CHUNK = 64
+
+# rows the row-exact encoder runs through each layer at once: as many whole
+# time steps of every window as fit (one at least). Bounds the per-layer
+# block arrays, which for all steps at once would raise peak memory
+ENCODE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -244,9 +249,16 @@ def encode(params: ModelParams, obs) -> EncoderSummary:
 def encode_core(
     params: ModelParams, obs: np.ndarray, with_tapes: bool, row_exact: bool = False
 ) -> tuple[EncoderSummary, EncoderTapes | None]:
-    """Encoder forward over (B, M, 6) observations: B windows of M frames;
-    row_exact for inference (see nn._product)."""
+    """Encoder forward over (B, M, 6) observations: B windows of M frames.
+
+    Training (row_exact False) runs step by step through every layer with
+    the plain product, keeping each step's tapes when with_tapes. Inference
+    (row_exact True) keeps no tapes and runs _encode_blocks."""
     obs = np.asarray(obs, dtype=np.float64)
+    if row_exact:
+        if with_tapes:
+            raise ValueError("the row-exact encoder keeps no tapes")
+        return _encode_blocks(params, obs), None
     batch, steps, _ = obs.shape
     states = [LstmState.zeros(batch, params.config.cell_dim) for _ in params.enc_lstm]
     tapes = EncoderTapes(fc=[], lstm=[]) if with_tapes else None
@@ -254,17 +266,45 @@ def encode_core(
         u = (obs[:, t] - params.feat_mean) / params.feat_std
         fc_tapes = []
         for fc in params.enc_fc:
-            u, tape = nn.dense_forward_cached(fc, u, "relu", row_exact)
+            u, tape = nn.dense_forward_cached(fc, u, "relu")
             fc_tapes.append(tape)
         lstm_tapes = []
         for k, cell in enumerate(params.enc_lstm):
-            states[k], tape = nn.lstm_forward(cell, u, states[k], row_exact)
+            states[k], tape = nn.lstm_forward(cell, u, states[k])
             lstm_tapes.append(tape)
             u = states[k].h
         if with_tapes:
             tapes.fc.append(fc_tapes)
             tapes.lstm.append(lstm_tapes)
     return EncoderSummary(states=states), tapes
+
+
+def _encode_blocks(params: ModelParams, obs: np.ndarray) -> EncoderSummary:
+    """The row-exact encoder, layer by layer over blocks of consecutive time
+    steps of at most ENCODE_BLOCK_ROWS rows (one step at least). Per block,
+    the normalizer, each dense layer and each LSTM's input product run once
+    over all its rows; only the state product and the gates run per step.
+    Every product is row-exact (nn._product), so each row has the bits of
+    the step-by-step loop's."""
+    batch, steps, _ = obs.shape
+    states = [LstmState.zeros(batch, params.config.cell_dim) for _ in params.enc_lstm]
+    span = max(1, ENCODE_BLOCK_ROWS // batch)
+    for t0 in range(0, steps, span):
+        # step-major rows: rows s*batch .. (s+1)*batch - 1 are step t0 + s
+        block = obs[:, t0 : t0 + span].transpose(1, 0, 2).reshape(-1, NUM_FEATURES)
+        u = (block - params.feat_mean) / params.feat_std
+        for fc in params.enc_fc:
+            u, _ = nn.dense_forward_cached(fc, u, "relu", row_exact=True)
+        for k, cell in enumerate(params.enc_lstm):
+            u_product = nn.lstm_input_product(cell, u, row_exact=True)
+            outputs = []
+            for lo in range(0, len(u), batch):
+                rows = slice(lo, lo + batch)
+                states[k], _ = nn.lstm_forward(cell, u[rows], states[k], row_exact=True, u_product=u_product[rows])
+                outputs.append(states[k].h)
+            del u_product  # freed before the next layer's is made: one held at a time
+            u = np.concatenate(outputs)
+    return EncoderSummary(states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +370,14 @@ def decode_core(
     return u, new_state, tapes
 
 
+def _padded_head(params: ModelParams) -> ModelParams:
+    """params for a row-exact decode loop, with the output layer padded
+    once (nn.row_exact_padded) instead of at every step. Its logits carry
+    zero pad columns after the num_classes real ones, which keep their
+    bits; the loop slices the pad off."""
+    return replace(params, dec_fc=[*params.dec_fc[:-1], nn.row_exact_padded(params.dec_fc[-1])])
+
+
 def decode_step(
     params: ModelParams, state: list[LstmState], prev: int | None
 ) -> tuple[np.ndarray, list[LstmState]]:
@@ -384,11 +432,12 @@ def _greedy_rows(params: ModelParams, state: list[LstmState], steps: int) -> tup
     seqs = np.zeros((n, steps), dtype=np.int64)
     log_probs = np.zeros(n)
     u = start_input(params, n)
+    padded = _padded_head(params)
     for step in range(steps):
         if step:
             u = embed_tokens(params, seqs[:, step - 1])
-        logits, state, _ = decode_core(params, state, u, with_tapes=False, row_exact=True)
-        lp = nn.log_softmax(logits)
+        logits, state, _ = decode_core(padded, state, u, with_tapes=False, row_exact=True)
+        lp = nn.log_softmax(logits[:, : params.config.num_classes])
         best = np.argmax(lp, axis=1)  # first max <=> lowest class id on ties
         log_probs += lp[np.arange(n), best]
         seqs[:, step] = best + 1
@@ -430,15 +479,17 @@ def _beam_rows(
     seqs = np.zeros((n, 1, 0), dtype=np.int64)
     maps: list[np.ndarray] | None = [] if collect_maps else None
     u = start_input(params, n)
+    padded = _padded_head(params)
     for step in range(steps):
         if step:
             state = [LstmState(c=s.c[rows], h=s.h[rows]) for s in state]
             u = embed_tokens(params, seqs[:, :, -1].ravel())
-        logits, state, _ = decode_core(params, state, u, with_tapes=False, row_exact=True)
-        lp = nn.log_softmax(logits).reshape(n, -1, num_classes)
+        logits, state, _ = decode_core(padded, state, u, with_tapes=False, row_exact=True)
+        lp = nn.log_softmax(logits[:, :num_classes]).reshape(n, -1, num_classes)
         if maps is not None:
             maps.append(np.exp(lp))
-        scores = (log_probs[:, :, None] + lp).reshape(n, -1)
+        lp += log_probs[:, :, None]  # the extensions' scores, in place of the log probs
+        scores = lp.reshape(n, -1)
         cols = _top_k(scores, min(beam_width, scores.shape[1]), num_classes)
         parents, classes = np.divmod(cols, num_classes)
         rows = (parents + lp.shape[1] * np.arange(n)[:, None]).ravel()

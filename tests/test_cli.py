@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcast import datagen, kalman, metrics, nn, ogm, seq2seq, training
+from gridcast import cli, datagen, kalman, metrics, nn, ogm, seq2seq, training
 from gridcast.cli import _SECTIONS, ConfigError, RunConfig, load_run_config, main, validate_run_config
 
 # a toy setup that trains in seconds: 6x3 grid, 4-dim cells, 1 s window
@@ -220,6 +220,8 @@ class TestPipeline:
         assert all(v >= 0 for v in telemetry["stage_s"].values())
         assert telemetry["records"] == 16
         assert telemetry["records_per_s"] > 0
+        assert list(telemetry) == ["command", "stage_s", "records", "records_per_s", "minor_faults"]
+        assert telemetry["minor_faults"] >= 0
 
     def test_checkpoint_loadable_and_metrics_written(self, workdir):
         params = seq2seq.load_checkpoint(workdir["ckpt"])
@@ -481,7 +483,10 @@ class TestPipeline:
         assert telemetry["windows_per_s"] > 0
         assert telemetry["records_too_short"] == 1
         assert telemetry["records_read"] == len(records)  # an unbound manifest: every record is parsed
-        assert list(telemetry) == ["command", "stage_s", "windows", "windows_per_s", "records_too_short", "shards", "records_read"]
+        assert list(telemetry) == [
+            "command", "stage_s", "windows", "windows_per_s", "records_too_short", "shards", "records_read", "minor_faults"
+        ]
+        assert telemetry["minor_faults"] >= 0
         if source == "kalman":
             # stdout and series are those of one kf_forecast call per window
             cfg = load_run_config(None, TOY)
@@ -512,6 +517,14 @@ class TestPipeline:
         assert all(v >= 0 for v in telemetry["stage_s"].values())
         assert telemetry["vehicles"] == 16
         assert telemetry["vehicles_per_s"] > 0
+        assert list(telemetry) == ["command", "stage_s", "vehicles", "vehicles_per_s", "shards", "minor_faults"]
+        assert telemetry["minor_faults"] >= 0
+
+    def test_telemetry_leaves_out_minor_faults_without_resource(self, workdir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        out = str(tmp_path / "pred.jsonl")
+        assert main(["predict", "--checkpoint", workdir["ckpt"], "--data", workdir["data"], "--out", out, "--greedy"]) == 0
+        telemetry = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert list(telemetry) == ["command", "stage_s", "vehicles", "vehicles_per_s", "shards"]
 
     @pytest.mark.parametrize("rule", [1, 2])
@@ -852,6 +865,24 @@ class TestCorruptDataset:
                 assert err.getvalue().startswith(f"error: {path} does not match its manifest "), err.getvalue()
                 assert "Traceback" not in err.getvalue()
                 assert sorted(os.listdir(tmp)) == ["data.jsonl", "data.jsonl.manifest.json"]
+
+    def test_test_run_relabelled_as_train_exits_2(self, bound_bytes, tmp_path, capsys):
+        # the dataset's bytes still match: only the index says a test
+        # scenario's lines belong to a train scenario, so eval would skip them
+        data, manifest_bytes = bound_bytes
+        manifest = json.loads(manifest_bytes)
+        splits, index = manifest["splits"], manifest["dataset"]["index"]
+        k = next(k for k, (sid, _) in enumerate(index) if sid in splits["test"])
+        index[k][0] = splits["train"][0]
+        path = str(tmp_path / "data.jsonl")
+        (tmp_path / "data.jsonl").write_bytes(data)
+        (tmp_path / "data.jsonl.manifest.json").write_text(json.dumps(manifest))
+        out = str(tmp_path / "series.csv")
+        for argv in (["eval", "--kalman", "--data", path, "--out-series", out], ["train", "--data", path, "--out", out]):
+            assert main(argv + toy_args()) == 2, argv
+            err = capsys.readouterr().err
+            assert f"field 'dataset.index' run {k} does not match {path}" in err, err
+            assert sorted(os.listdir(tmp_path)) == ["data.jsonl", "data.jsonl.manifest.json"]
 
 
 class TestVerify:

@@ -204,6 +204,23 @@ class TestLstmForward:
         s2, _ = nn.lstm_forward(p, u, prev)
         assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.h, s2.h)
 
+    @pytest.mark.parametrize("row_exact", [False, True])
+    def test_precomputed_input_product_gives_the_same_bits(self, row_exact):
+        rng = np.random.default_rng(15)
+        p = nn.init_lstm(rng, 16, 6)
+        p.b[...] = rng.standard_normal(64) * 0.5
+        u = rng.standard_normal((9, 6))
+        prev = nn.LstmState(c=rng.standard_normal((9, 16)), h=rng.standard_normal((9, 16)))
+        u_product = nn.lstm_input_product(p, u, row_exact)
+        s1, _ = nn.lstm_forward(p, u, prev, row_exact)
+        s2, _ = nn.lstm_forward(p, u, prev, row_exact, u_product=u_product)
+        assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.h, s2.h)
+
+    def test_input_product_shape_mismatch(self):
+        p = nn.LstmParams(w_u=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
+        with pytest.raises(nn.ShapeError, match=r"\(4, 8\)"):
+            nn.lstm_forward(p, np.zeros((4, 3)), nn.LstmState.zeros(4, 2), u_product=np.zeros((3, 8)))
+
 
 # layer shapes (out_dim, in_dim) of the models gridcast runs: the cell-256
 # default (encoder input, hidden dense, stacked gates, 757-way head), the
@@ -278,6 +295,18 @@ class TestRowExact:
             one, _ = nn.lstm_forward(p, u[r : r + 1], one_prev, row_exact=True)
             assert np.array_equal(batched.c[r : r + 1], one.c)
             assert np.array_equal(batched.h[r : r + 1], one.h)
+
+    @pytest.mark.parametrize("out_dim,in_dim", [(757, 128), (13, 4), (128, 128)])
+    def test_padded_layer_gives_the_same_bits(self, out_dim, in_dim):
+        rng = np.random.default_rng([out_dim, in_dim])
+        p = nn.DenseParams(weight=rng.standard_normal((out_dim, in_dim)), bias=rng.standard_normal(out_dim))
+        padded = nn.row_exact_padded(p)
+        assert padded.weight.shape[0] % 4 == 0 and padded.weight.shape[0] >= 128
+        u = rng.standard_normal((70, in_dim))
+        for activation in ("relu", "none"):
+            out, _ = nn.dense_forward_cached(padded, u, activation, row_exact=True)
+            ref, _ = nn.dense_forward_cached(p, u, activation, row_exact=True)
+            assert np.array_equal(out[:, :out_dim], ref) and not out[:, out_dim:].any()
 
     @pytest.mark.parametrize("out_dim,in_dim", CELL_256 + CELL_128 + NARROW + TINY)
     def test_every_row_count_gives_one_row_bits(self, out_dim, in_dim):
@@ -450,6 +479,43 @@ def test_property_forward_matches_scalar_oracle(cell, dim, seed):
     c_ref, h_ref, *_ = reference_lstm_step(p, u[0], prev.c[0], prev.h[0])
     assert np.allclose(state.c[0], c_ref, atol=1e-12)
     assert np.allclose(state.h[0], h_ref, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    rows=st.integers(min_value=1, max_value=20),
+    dim=st.integers(min_value=1, max_value=9),
+    width=st.integers(min_value=1, max_value=12),
+    row_exact=st.booleans(),
+    precomputed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_forward_ops_leave_inputs_and_own_their_outputs(rows, dim, width, row_exact, precomputed, seed):
+    """log_softmax, dense_forward_cached and lstm_forward may work in place
+    on arrays they allocate, never on an input: every input keeps its
+    values, and no returned array shares memory with one (tapes hold their
+    inputs by design and are not checked)."""
+    rng = np.random.default_rng(seed)
+    dense = nn.DenseParams(weight=rng.standard_normal((width, dim)), bias=rng.standard_normal(width))
+    cell = nn.LstmParams(w_u=rng.standard_normal((4 * width, dim)), w_h=rng.standard_normal((4 * width, width)), b=rng.standard_normal(4 * width))
+    u = rng.standard_normal((rows, dim))
+    logits = rng.standard_normal((rows, width)) * 10
+    prev = nn.LstmState(c=rng.standard_normal((rows, width)), h=rng.standard_normal((rows, width)))
+    u_product = nn.lstm_input_product(cell, u, row_exact) if precomputed else None
+    inputs = [u, logits, prev.c, prev.h, dense.weight, dense.bias, cell.w_u, cell.w_h, cell.b]
+    inputs += [] if u_product is None else [u_product]
+    before = [a.copy() for a in inputs]
+
+    outputs = [nn.log_softmax(logits)]
+    for activation in ("relu", "none"):
+        outputs.append(nn.dense_forward_cached(dense, u, activation, row_exact)[0])
+    state, _ = nn.lstm_forward(cell, u, prev, row_exact, u_product=u_product)
+    outputs += [state.c, state.h]
+
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    for out in outputs:
+        assert not any(np.shares_memory(out, a) for a in inputs)
 
 
 def _central_differences(f_value, x0, h=1e-5):

@@ -148,6 +148,67 @@ class TestEncode:
             encode(params, np.zeros((4, 6)))
 
 
+def step_major_summary(params, windows):
+    """The encoder one time step at a time through every layer, from the nn
+    primitives with row-exact products: the reference the block encoder
+    must reproduce bit for bit."""
+    states = [nn.LstmState.zeros(len(windows), params.config.cell_dim) for _ in params.enc_lstm]
+    for t in range(windows.shape[1]):
+        u = (windows[:, t] - params.feat_mean) / params.feat_std
+        for fc in params.enc_fc:
+            u, _ = nn.dense_forward_cached(fc, u, "relu", row_exact=True)
+        for k, cell in enumerate(params.enc_lstm):
+            states[k], _ = nn.lstm_forward(cell, u, states[k], row_exact=True)
+            u = states[k].h
+    return states
+
+
+def block_model(cell_dim, obs_len, seed):
+    config = ModelConfig(cell_dim=cell_dim, grid=GridSpec.custom(4, 3), obs_len=obs_len, horizon=2)
+    params = init_model_params(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    params.feat_mean[...] = rng.standard_normal(6)
+    params.feat_std[...] = rng.uniform(0.5, 2.0, size=6)
+    for cell in params.enc_lstm:
+        cell.b[...] = rng.uniform(-0.5, 0.5, size=cell.b.shape)
+    return params
+
+
+class TestBlockEncoder:
+    """The row-exact encoder runs layer by layer over blocks of at most
+    ENCODE_BLOCK_ROWS rows. 9 windows give blocks of 28 steps (the last of
+    2 at obs_len 30), 257 windows blocks of one step, 1 window one block."""
+
+    def test_block_bound(self):
+        assert seq2seq.ENCODE_BLOCK_ROWS == 256
+
+    @pytest.mark.parametrize("windows", [1, 9, 10, 35, 257])
+    @pytest.mark.parametrize("obs_len", [30, 1])
+    @pytest.mark.parametrize("cell_dim", [128, 16])
+    def test_summary_equals_step_major_reference(self, windows, obs_len, cell_dim):
+        params = block_model(cell_dim, obs_len, seed=windows + obs_len + cell_dim)
+        obs = np.random.default_rng(windows).standard_normal((windows, obs_len, 6)) * 3
+        summary, tapes = seq2seq.encode_core(params, obs, with_tapes=False, row_exact=True)
+        assert tapes is None
+        for got, ref in zip(summary.states, step_major_summary(params, obs), strict=True):
+            assert got.c.shape == (windows, cell_dim)
+            assert np.array_equal(got.c, ref.c) and np.array_equal(got.h, ref.h)
+
+    def test_one_window_equals_its_row_of_a_batch(self):
+        params = block_model(128, 30, seed=35)
+        windows = np.random.default_rng(35).standard_normal((35, 30, 6)) * 3
+        (chunk,) = seq2seq._chunks(params, windows)
+        for v in (0, 17, 34):
+            alone = decoder_initial_state(params, encode(params, windows[v]))
+            for a, b in zip(alone, chunk, strict=True):
+                assert np.array_equal(a.c, b.c[v : v + 1]) and np.array_equal(a.h, b.h[v : v + 1])
+
+    def test_tapes_need_the_training_product(self):
+        params = block_model(16, 3, seed=1)
+        with pytest.raises(ValueError, match="no tapes"):
+            seq2seq.encode_core(params, np.zeros((2, 3, 6)), with_tapes=True, row_exact=True)
+
+
 class TestDecodeStep:
     def test_probability_contract(self):
         config, params = tiny_model(seed=2)
