@@ -15,8 +15,6 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import datagen, kalman, metrics, nn, ogm, seq2seq, training
 
 try:
@@ -408,22 +406,20 @@ def cmd_eval(
     stages.lap("read")
 
     grid = model_cfg.grid
-    test_windows, too_short = training.crop_windows(test_records, model_cfg.obs_len, model_cfg.horizon, grid)
-    if not test_windows:
+    inputs, labels, too_short = training.crop_window_arrays(test_records, model_cfg.obs_len, model_cfg.horizon, grid)
+    if not len(inputs):
         print("error: no usable test windows in the dataset's test split", file=sys.stderr)
         return 2
-    inputs = [w.inputs for w in test_windows]
     stages.lap("crop")
     if use_kalman:
-        classes = kalman.kf_forecast_rows(np.stack(inputs), cfg.kalman, model_cfg.horizon, grid)
-        predictions = [seq2seq.TrajectoryPrediction(hypotheses=[seq2seq.BeamHypothesis(q, 0.0)]) for q in classes.tolist()]
+        classes = kalman.kf_forecast_rows(inputs, cfg.kalman, model_cfg.horizon, grid)[:, None]
         shards = 1
         stages.lap("forecast")
     else:
-        predictions = seq2seq.predict_scene(params, inputs)
+        classes = [[h.sequence for h in p.hypotheses] for p in seq2seq.predict_scene(params, inputs)]
         shards = nn.shard_count(len(inputs))
         stages.lap("decode")
-    report = metrics.score_predictions(predictions, [w.labels for w in test_windows], eval_cfg, grid, label=label)
+    report = metrics.score_classes(classes, labels, eval_cfg, grid, label=label)
     stages.lap("score")
     text, series = metrics.render_report(report)
     print(text, end="")
@@ -434,7 +430,7 @@ def cmd_eval(
     print(f"series written to {series_path}")
     stages.lap("write")
     stages.report(
-        "eval", "windows", len(test_windows), records_too_short=too_short, shards=shards, records_read=records_read
+        "eval", "windows", len(inputs), records_too_short=too_short, shards=shards, records_read=records_read
     )
     return 0
 

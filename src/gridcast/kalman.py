@@ -8,7 +8,7 @@ prediction, quantizing the mean position onto the grid at the label cadence.
 
 The covariance and gain recursion never reads a measurement, so all windows
 of one length share one gain schedule; only the means differ, and they are
-filtered together as (N, 4) rows.
+filtered together, N windows at once.
 """
 
 from __future__ import annotations
@@ -154,12 +154,6 @@ def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
     return gains, cov
 
 
-def _times_rows(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """mat @ row for every row. Broadcast-and-sum gives each row the same
-    bits whatever the row count; a BLAS product may not."""
-    return (rows[:, None, :] * mat).sum(-1)
-
-
 def _check_window_shape(shape: tuple[int, ...]) -> None:
     if len(shape) != 2 or shape[1] != 6 or shape[0] < 1:
         raise ValueError(f"expected an (M, 6) observation window, got {shape}")
@@ -168,20 +162,34 @@ def _check_window_shape(shape: tuple[int, ...]) -> None:
 def kf_filter_rows(windows: np.ndarray, model: CvModel) -> tuple[np.ndarray, np.ndarray]:
     """Filter N (M, 6) observation windows at once on the shared gain
     schedule: the (N, 4) final means and the final covariance. Measurements
-    are the relative position/velocity features (columns 2..5)."""
+    are the relative position/velocity features (columns 2..5); a
+    non-finite one is a ValueError naming its window and frame."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError(f"expected (N, M, 6) observation windows, got {windows.shape}")
     _check_window_shape(windows.shape[1:])
+    finite = np.isfinite(windows[:, :, 2:6]).all(axis=2)
+    if not finite.all():
+        n, t = np.unravel_index(np.flatnonzero(~finite)[0], finite.shape)
+        raise ValueError(f"window {n}: non-finite measurement in frame {t}")
     gains, cov = gain_schedule(model, windows.shape[1])
-    f = model.transition
-    z = windows[:, :, 2:6]
-    mean = z[:, 0].copy()
-    for t, gain in enumerate(gains, start=1):
-        predicted = _times_rows(f, mean)
-        # the measurement map is the identity, so the innovation is z - prediction
-        mean = predicted + _times_rows(gain, z[:, t] - predicted)
-    return mean, cov
+    # the means are filtered as (4, N) columns, so that each term below is
+    # one contiguous run of N values
+    z = windows[:, :, 2:6].transpose(1, 2, 0)
+    mean = z[0].copy()
+    position, velocity = mean[:2], mean[2:]
+    for z_t, gain_t in zip(z[1:], gains.transpose(0, 2, 1)[..., None]):
+        # x += FRAME_DT*vx and y += FRAME_DT*vy are the transition's only
+        # terms that are not 0 or 1: the dense product less its additions of
+        # exact zeros, which could change no more than the sign of a zero
+        position += FRAME_DT * velocity
+        # terms[j, i] = innovation[j] * gain[i, j]; the measurement map is
+        # the identity, so the innovation is z - prediction
+        terms = (z_t - mean)[:, None] * gain_t
+        # the order of a length-4 numpy sum, so each row gets the bits of
+        # (innovation[:, None, :] * gain).sum(-1) whatever the row count
+        mean += ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    return mean.T.copy(), cov
 
 
 def kf_forecast_rows(
@@ -191,13 +199,11 @@ def kf_forecast_rows(
     predictions per output step, the label cadence, each mean position
     quantized to a flat class. Returns (N, horizon) class ids."""
     mean, _ = kf_filter_rows(windows, model)
-    f = model.transition
-    positions = np.empty((mean.shape[0], horizon, 2))
-    for j in range(horizon):
-        for _ in range(LABEL_STRIDE):
-            mean = _times_rows(f, mean)
-        positions[:, j] = mean[:, :2]
-    return ogm.position_classes(positions, grid)
+    # frame k of the extrapolation is the position plus FRAME_DT * velocity
+    # added k times; a running sum adds them one at a time, as k predictions do
+    path = np.repeat(FRAME_DT * mean[:, None, 2:], LABEL_STRIDE * horizon + 1, axis=1)
+    path[:, 0] = mean[:, :2]
+    return ogm.position_classes(np.cumsum(path, axis=1)[:, LABEL_STRIDE::LABEL_STRIDE], grid)
 
 
 def kf_forecast(

@@ -34,6 +34,7 @@ __all__ = [
     "top_omega_mae",
     "evaluate",
     "score_predictions",
+    "score_classes",
     "render_report",
 ]
 
@@ -70,13 +71,10 @@ class TopOmegaResult:
     n_no_candidate: int
 
 
-def _index_arrays(predictions, truths, num_hyps: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices (w, l) of the candidates, (N, num_hyps, H, 2) from each
-    prediction's first num_hyps hypotheses, and of the truths, (N, T, 2);
-    (0, 0) is out of map. A prediction with fewer hypotheses is padded with
-    out-of-map ones, which no selection mode ever picks."""
-    if len(predictions) != len(truths):
-        raise ValueError("predictions and truths must pair up")
+def _hypothesis_classes(predictions, num_hyps: int, grid: GridSpec) -> np.ndarray:
+    """The (N, num_hyps, H) flat classes of each prediction's first num_hyps
+    hypotheses. A prediction with fewer is padded with out-of-map ones,
+    which no selection mode ever picks."""
     if not predictions:
         raise ValueError("no predictions to score")
     if not predictions[0].hypotheses:
@@ -91,8 +89,25 @@ def _index_arrays(predictions, truths, num_hyps: int, grid: GridSpec) -> tuple[n
             classes[n, : len(hyps)] = [h.sequence for h in hyps]
         except ValueError as exc:
             raise ValueError(f"prediction {n}: hypotheses must all span {horizon} steps") from exc
+    return classes
+
+
+def _index_arrays(classes, truths, num_hyps: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices (w, l) of the first num_hyps of (N, K, H) candidate
+    classes, (N, num_hyps, H, 2), and of the truths' flat classes, (N, T, 2);
+    (0, 0) is out of map."""
+    classes = np.asarray(classes, dtype=np.int64)
+    if classes.ndim != 3:
+        raise ValueError(f"expected (N, K, H) hypothesis classes, got shape {classes.shape}")
+    if classes.shape[1] < num_hyps:
+        raise ValueError(f"need {num_hyps} hypotheses per prediction, got {classes.shape[1]}")
+    if len(classes) != len(truths):
+        raise ValueError("predictions and truths must pair up")
+    if not len(classes):
+        raise ValueError("no predictions to score")
     truth = np.asarray(truths, dtype=np.int64).reshape(len(truths), -1)
-    return np.stack(unflatten_indices(classes, grid), axis=-1), np.stack(unflatten_indices(truth, grid), axis=-1)
+    cand = np.stack(unflatten_indices(classes[:, :num_hyps], grid), axis=-1)
+    return cand, np.stack(unflatten_indices(truth, grid), axis=-1)
 
 
 def top_omega_mae(
@@ -107,7 +122,7 @@ def top_omega_mae(
     paired predictions and ground-truth flat-class sequences."""
     if omega < 1:
         raise ValueError("omega must be >= 1")
-    cand, truth = _index_arrays(predictions, truths, omega, grid)
+    cand, truth = _index_arrays(_hypothesis_classes(predictions, omega, grid), truths, omega, grid)
     return _score_step(cand, truth, omega, step, selection)
 
 
@@ -200,14 +215,27 @@ def score_predictions(
     label: str = "",
 ) -> EvalReport:
     """The full (metric, omega, horizon) table for paired predictions and
-    ground-truth flat-class sequences."""
+    ground-truth flat-class sequences: score_classes on their hypotheses."""
     max_omega = max(config.omegas)
     for pred in predictions:
         if len(pred.hypotheses) < max_omega:
             raise ValueError(
                 f"need {max_omega} hypotheses per prediction, got {len(pred.hypotheses)}"
             )
-    cand, truth = _index_arrays(predictions, truths, max_omega, grid)
+    return score_classes(_hypothesis_classes(predictions, max_omega, grid), truths, config, grid, label)
+
+
+def score_classes(
+    classes: np.ndarray,
+    truths,
+    config: EvalConfig = EvalConfig(),
+    grid: GridSpec = GridSpec(),
+    label: str = "",
+) -> EvalReport:
+    """The full (metric, omega, horizon) table for (N, K, H) hypothesis flat
+    classes, K per example in rank order, and the (N, H) ground-truth flat
+    classes (an array, or a list of sequences)."""
+    cand, truth = _index_arrays(classes, truths, max(config.omegas), grid)
     report = EvalReport(
         omegas=config.omegas, horizons_s=config.horizons_s, selection=config.selection, label=label
     )

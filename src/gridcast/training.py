@@ -24,6 +24,7 @@ import numpy as np
 from . import nn, ogm
 from .seq2seq import (
     LABEL_STRIDE,
+    NUM_FEATURES,
     ModelConfig,
     ModelParams,
     decoder_initial_state,
@@ -44,6 +45,7 @@ __all__ = [
     "AdamState",
     "TrainingDiverged",
     "window_count",
+    "crop_window_arrays",
     "crop_windows",
     "fit_normalizer",
     "nll_loss",
@@ -101,31 +103,41 @@ def window_count(frames: int, obs_len: int, horizon: int) -> int:
     return max(0, frames - (obs_len + LABEL_STRIDE * horizon) + 1)
 
 
-def crop_windows(records, obs_len: int, horizon: int, grid: ogm.GridSpec) -> tuple[list[TrainingExample], int]:
+def crop_window_arrays(
+    records, obs_len: int, horizon: int, grid: ogm.GridSpec
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Every stride-1 window of obs_len frames plus horizon labels from each
-    record (anything with a .frames (F, 6) array, or the array itself).
+    record (anything with a .frames (F, 6) array, or the array itself), in
+    record order: the (N, obs_len, 6) inputs, the (N, horizon) int labels
+    and the count of records too short for a single window.
 
-    Labels are the quantized positions of every LABEL_STRIDE-th frame; targets
-    outside sensor validity become the out-of-map class and are kept. Returns
-    (examples, count of records too short for a single window).
+    Labels are the quantized positions of every LABEL_STRIDE-th frame;
+    targets outside sensor validity become the out-of-map class and are
+    kept. Only label frames are quantized.
     """
-    steps = LABEL_STRIDE * np.arange(horizon)
-    examples: list[TrainingExample] = []
-    skipped = 0
-    for rec in records:
-        frames = np.asarray(getattr(rec, "frames", rec), dtype=np.float64)
-        count = window_count(frames.shape[0], obs_len, horizon)
-        if not count:
-            skipped += 1
-            continue
-        # window s labels frame obs_len - 1 + s + LABEL_STRIDE * (j + 1):
-        # with two or more windows every frame from the first label on is a
-        # label, with one only every LABEL_STRIDE-th of them
-        every = 1 if count > 1 else LABEL_STRIDE
-        classes = ogm.position_classes(frames[obs_len - 1 + LABEL_STRIDE :: every, 2:4], grid)
-        labels = classes[(np.arange(count)[:, None] + steps) // every]
-        examples += [TrainingExample(inputs=frames[s : s + obs_len], labels=labels[s]) for s in range(count)]
-    return examples, skipped
+    frames = [np.asarray(getattr(rec, "frames", rec), dtype=np.float64) for rec in records]
+    counts = np.array([window_count(f.shape[0], obs_len, horizon) for f in frames], dtype=np.int64)
+    kept = [f for f, count in zip(frames, counts) if count]
+    if not kept:
+        return np.empty((0, obs_len, NUM_FEATURES)), np.empty((0, horizon), dtype=np.int64), len(frames)
+    counts = counts[counts > 0]
+    # window n of the kept records starts at frame n of their concatenation,
+    # shifted past the frames that start no window in the records before it
+    idle = np.array([f.shape[0] for f in kept]) - counts
+    starts = np.arange(counts.sum()) + np.repeat(np.cumsum(idle) - idle, counts)
+    stacked = np.concatenate(kept)
+    inputs = stacked[starts[:, None] + np.arange(obs_len)]
+    # window s labels frame obs_len - 1 + s + LABEL_STRIDE * (j + 1)
+    label_frames = starts[:, None] + (obs_len - 1 + LABEL_STRIDE * np.arange(1, horizon + 1))
+    labels = ogm.position_classes(stacked[label_frames, 2:4], grid)
+    return inputs, labels, len(frames) - len(kept)
+
+
+def crop_windows(records, obs_len: int, horizon: int, grid: ogm.GridSpec) -> tuple[list[TrainingExample], int]:
+    """crop_window_arrays as one TrainingExample per window: (examples,
+    count of records too short for a single window)."""
+    inputs, labels, skipped = crop_window_arrays(records, obs_len, horizon, grid)
+    return [TrainingExample(inputs=x, labels=y) for x, y in zip(inputs, labels)], skipped
 
 
 def fit_normalizer(params: ModelParams, examples: list[TrainingExample]) -> None:

@@ -3,6 +3,7 @@ datagen -> train -> predict -> eval pipeline at toy scale, verify battery."""
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -365,6 +366,22 @@ class TestPipeline:
         assert "Omega=1" in out
         assert "Omega=3" not in out
 
+    def test_eval_kalman_output_bytes_pinned(self, tmp_path, capsys):
+        # default grid and model on 10 scenarios (130 test windows): the
+        # table and the series, to the byte, as the filter with the dense 4x4
+        # transition product wrote them
+        data, series = str(tmp_path / "data.jsonl"), str(tmp_path / "series.csv")
+        assert main(["datagen", "--out", data, "--seed", "20", "--set", "data.n_scenarios=10"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--kalman", "--data", data, "--out-series", series]) == 0
+        out, series_line = capsys.readouterr().out, f"series written to {series}\n"
+        assert out.endswith(series_line)
+        table = out.removesuffix(series_line)
+        assert hashlib.sha256(table.encode()).hexdigest() == "cd0818471e8e58926b054a786755d40c81e0fa06b7e22ccd32515db917367180"
+        assert hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest() == (
+            "eaf32a0bf8d7657c98f078a4ea03d434cd8ef1042b3f2818dd2924573048eb7c"
+        )
+
     def test_eval_kalman_forecasts_all_windows_in_one_call(self, workdir, tmp_path, capsys):
         series = str(tmp_path / "series.csv")
         argv = ["eval", "--kalman", "--data", workdir["data"], "--out-series", series] + toy_args()
@@ -452,7 +469,7 @@ class TestPipeline:
         assert main(["train", "--data", data, "--out", ckpt, "--seed", "3"] + toy_args("grid.cell_len=4.0")) == 0
         assert seq2seq.load_checkpoint(ckpt).config.grid == ogm.GridSpec.custom(6, 3, cell_len=4.0)
         no_grid_flags = [a for item in TOY if not item.startswith("grid.") for a in ("--set", item)]
-        with mock.patch.object(training, "crop_windows", wraps=training.crop_windows) as crop:
+        with mock.patch.object(training, "crop_window_arrays", wraps=training.crop_window_arrays) as crop:
             rc = main(["eval", "--checkpoint", ckpt, "--data", data,
                        "--out-series", str(tmp_path / "s.csv")] + no_grid_flags)
         assert rc == 0

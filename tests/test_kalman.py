@@ -1,10 +1,14 @@
 """Constant-velocity Kalman baseline: propagation, correction against the
 closed-form scalar filter, covariance discipline, forecast exactness, the
-row-batched filter against single rows and the predict/update chain, model
-validation, and the forecast cadence against the label cadence."""
+row-batched filter against single rows, the predict/update chain and the
+dense-transition recursion, non-finite measurements, model validation, and
+the forecast cadence against the label cadence."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcast import ogm, training
 from gridcast.kalman import (
@@ -198,6 +202,103 @@ class TestRows:
     def test_rows_need_three_dimensions(self):
         with pytest.raises(ValueError, match=r"expected \(N, M, 6\) observation windows, got \(30, 6\)"):
             kf_filter_rows(np.zeros((30, 6)), MODEL)
+
+
+def dense_times_rows(mat, rows):
+    """mat @ row for every row, broadcast and summed by numpy."""
+    return (rows[:, None, :] * mat).sum(-1)
+
+
+def dense_filter_rows(windows, model):
+    """The filter with the dense 4x4 transition and gain products."""
+    gains, _ = gain_schedule(model, windows.shape[1])
+    z = windows[:, :, 2:6]
+    mean = z[:, 0].copy()
+    for t, gain in enumerate(gains, start=1):
+        predicted = dense_times_rows(model.transition, mean)
+        mean = predicted + dense_times_rows(gain, z[:, t] - predicted)
+    return mean
+
+
+def dense_forecast_positions(windows, model, horizon):
+    mean = dense_filter_rows(windows, model)
+    positions = np.empty((len(mean), horizon, 2))
+    for j in range(horizon):
+        for _ in range(LABEL_STRIDE):
+            mean = dense_times_rows(model.transition, mean)
+        positions[:, j] = mean[:, :2]
+    return positions
+
+
+@st.composite
+def filter_cases(draw):
+    """Finite (N, M, 6) windows of noisy straight tracks over +-200 m, about
+    half of the velocity components exactly 0 and the rest of either sign,
+    with a CvModel whose fields are drawn too (sigma_a may be 0)."""
+    n, m = draw(st.integers(1, 50)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = rng.uniform(-200.0, 200.0, size=(n, 1, 2))
+    velocity = rng.uniform(-30.0, 30.0, size=(n, 1, 2)) * rng.integers(0, 2, size=(n, 1, 2))
+    windows = np.zeros((n, m, 6))
+    windows[:, :, 2:4] = start + velocity * (FRAME_DT * np.arange(m))[:, None]
+    windows[:, :, 4:6] = velocity
+    noise = draw(st.sampled_from([0.0, 0.01, 0.5, 20.0]))
+    windows[:, :, 2:6] += rng.normal(0.0, noise, size=(n, m, 4))
+    windows[:, :, 2:4] = np.clip(windows[:, :, 2:4], -200.0, 200.0)
+    positive = st.floats(0.01, 10.0)
+    model = CvModel(
+        sigma_a=draw(st.sampled_from([0.0, 0.3, 2.0, 9.0])),
+        sigma_x=draw(positive),
+        sigma_y=draw(positive),
+        sigma_vx=draw(positive),
+        sigma_vy=draw(positive),
+        init_pos_var=draw(positive),
+        init_vel_var=draw(positive),
+    )
+    return windows, model, draw(st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_cases())
+def test_two_term_step_equals_the_dense_recursion(case):
+    """The two-term transition and the written-out gain sums give the bits
+    of the dense broadcast-and-sum recursion, and each row those of its own
+    one-row call. np.array_equal treats -0.0 and 0.0 as equal: adding the
+    dense product's exact zeros (x*1 + y*0 + ...) can flip only the sign of
+    a zero, which no later step and no quantized class can tell apart."""
+    windows, model, horizon = case
+    means, _ = kf_filter_rows(windows, model)
+    assert np.array_equal(means, dense_filter_rows(windows, model))
+    # the forecast positions themselves, as they reach the quantizer
+    quantized, quantize = [], ogm.position_classes
+    with mock.patch.object(ogm, "position_classes", side_effect=lambda xy, grid: quantized.append(xy) or quantize(xy, grid)):
+        forecasts = kf_forecast_rows(windows, model, horizon, GRID)
+    positions = dense_forecast_positions(windows, model, horizon)
+    assert len(quantized) == 1 and np.array_equal(quantized[0], positions)
+    assert np.array_equal(forecasts, quantize(positions, GRID))
+    for n, obs in enumerate(windows):
+        assert np.array_equal(kf_filter_rows(obs[None], model)[0][0], means[n])
+        assert kf_forecast(obs, model, horizon, GRID) == forecasts[n].tolist()
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_measurement_named(self, bad):
+        windows = noisy_windows(5)
+        windows[[3, 3, 4], [21, 17, 2], [2, 5, 3]] = bad
+        message = r"^window 3: non-finite measurement in frame 17$"
+        with pytest.raises(ValueError, match=message):
+            kf_filter_rows(windows, MODEL)
+        with pytest.raises(ValueError, match=message):
+            kf_forecast_rows(windows, MODEL, 10, GRID)
+        with pytest.raises(ValueError, match=r"^window 0: non-finite measurement in frame 17$"):
+            kf_forecast(windows[3], MODEL, 10, GRID)
+
+    def test_unmeasured_columns_are_not_read(self):
+        windows = noisy_windows(4)
+        blanked = windows.copy()
+        blanked[:, :, :2] = np.nan
+        assert np.array_equal(kf_forecast_rows(blanked, MODEL, 10, GRID), kf_forecast_rows(windows, MODEL, 10, GRID))
 
 
 class TestModelValidation:

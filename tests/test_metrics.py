@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.metrics import EvalConfig, evaluate, render_report, score_predictions, top_omega_mae
+from gridcast.metrics import EvalConfig, evaluate, render_report, score_classes, score_predictions, top_omega_mae
 from gridcast.ogm import GridCell, GridSpec, flatten, unflatten
 from gridcast.seq2seq import BeamHypothesis, TrajectoryPrediction
 from gridcast.training import TrainingExample
@@ -227,6 +227,22 @@ class TestIndexArrayScoring:
             direct = score_predictions(preds, [ex.labels for ex in examples], cfg, GRID)
             assert by_fn.values == direct.values
             assert by_fn.excluded == direct.excluded
+
+    def test_score_classes_equals_score_predictions(self):
+        rng = np.random.default_rng(10)
+        classes = rng.integers(1, GRID.num_classes + 1, size=(9, 5, 10))
+        truths = rng.integers(1, GRID.num_classes + 1, size=(9, 10))
+        preds = [TrajectoryPrediction([BeamHypothesis(q, 0.0) for q in row]) for row in classes.tolist()]
+        for selection in ("per_step", "whole_trajectory"):
+            cfg = EvalConfig(omegas=(1, 3), selection=selection)
+            by_array = score_classes(classes, truths, cfg, GRID, label="x")
+            assert render_report(by_array) == render_report(score_predictions(preds, list(truths), cfg, GRID, label="x"))
+        with pytest.raises(ValueError, match="need 5 hypotheses per prediction, got 3"):
+            score_classes(classes[:, :3], truths, EvalConfig(), GRID)
+        with pytest.raises(ValueError, match="pair up"):
+            score_classes(classes[:4], truths, EvalConfig(), GRID)
+        with pytest.raises(ValueError, match=r"expected \(N, K, H\) hypothesis classes, got shape \(9, 10\)"):
+            score_classes(classes[:, 0], truths, EvalConfig(omegas=(1,)), GRID)
 
     def test_ragged_hypotheses_rejected(self):
         preds = [prediction([(5, 10), (5, 10)], [(5, 10)])]

@@ -7,6 +7,7 @@ import contextlib
 import math
 import threading
 import time
+import types
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from gridcast.training import (
     TrainingExample,
     adam_step,
     clip_gradients,
+    crop_window_arrays,
     crop_windows,
     fit_normalizer,
     lr_on_plateau,
@@ -320,6 +322,52 @@ class TestCropWindows:
         examples, _ = crop_windows([frames], 30, 10, self.GRID)
         assert len(examples) == 1
         assert examples[0].labels.tolist() == self.reference_labels(frames, 30, 10, self.GRID)[0]
+
+    @staticmethod
+    def reference_crop(records, obs_len, horizon, grid):
+        """Record by record: one position_classes call per record over its
+        label frames, and one slice per window."""
+        inputs, labels, skipped = [], [], 0
+        for rec in records:
+            frames = np.asarray(getattr(rec, "frames", rec), dtype=np.float64)
+            count = window_count(frames.shape[0], obs_len, horizon)
+            if not count:
+                skipped += 1
+                continue
+            every = 1 if count > 1 else 2
+            classes = ogm.position_classes(frames[obs_len + 1 :: every, 2:4], grid)
+            steps = 2 * np.arange(horizon)
+            for s in range(count):
+                inputs.append(frames[s : s + obs_len])
+                labels.append(classes[(s + steps) // every])
+        return inputs, labels, skipped
+
+    @pytest.mark.parametrize("bare", [False, True], ids=["records", "arrays"])
+    def test_arrays_equal_the_reference_and_the_examples(self, bare):
+        # 50 frames hold exactly one window (every LABEL_STRIDE-th frame a
+        # label), 49 and 30 none
+        rng = np.random.default_rng(12)
+        records = []
+        for n_frames in (62, 49, 51, 50, 30, 50, 62):
+            frames = self.make_record(n_frames, x0=rng.uniform(-5, 185), vx=rng.uniform(-20, 20))
+            frames[:, 2:4] += rng.normal(0.0, [3.0, 6.0], size=(n_frames, 2))
+            records.append(frames if bare else types.SimpleNamespace(frames=frames))
+        inputs, labels, skipped = crop_window_arrays(records, 30, 10, self.GRID)
+        ref_inputs, ref_labels, ref_skipped = self.reference_crop(records, 30, 10, self.GRID)
+        assert inputs.shape == (13 + 2 + 1 + 1 + 13, 30, 6) and labels.shape == (30, 10)
+        assert (inputs == np.stack(ref_inputs)).all() and (labels == np.stack(ref_labels)).all()
+        assert labels.dtype == np.int64
+        assert skipped == ref_skipped == 2
+        examples, too_short = crop_windows(records, 30, 10, self.GRID)
+        assert too_short == skipped
+        assert all((ex.inputs == x).all() and (ex.labels == y).all() for ex, x, y in zip(examples, inputs, labels, strict=True))
+
+    def test_arrays_of_no_records(self):
+        inputs, labels, skipped = crop_window_arrays([], 30, 10, self.GRID)
+        assert (inputs.shape, labels.shape, labels.dtype, skipped) == ((0, 30, 6), (0, 10), np.int64, 0)
+        assert crop_windows([], 30, 10, self.GRID) == ([], 0)
+        inputs, labels, skipped = crop_window_arrays([self.make_record(49), self.make_record(30)], 30, 10, self.GRID)
+        assert (inputs.shape, labels.shape, skipped) == ((0, 30, 6), (0, 10), 2)
 
     def test_nan_in_a_label_frame_raises(self):
         frames = self.make_record(50)
