@@ -175,6 +175,13 @@ class TestGenerateDataset:
             "db568149d96ed6b953130225a44ea20d9db78884ed1821f0f0a2ae8a59ed30bc",
             "8a2462d706ec7190f37483395a55aecd41413877d28ba2baae76cdf735ad4049",
         ),
+        # the default 62 frames, 5 vehicles, noise and maneuver mix: the
+        # benchmark's data_kalman set
+        "default_40_scenarios": (
+            ScenarioConfig(n_scenarios=40, seed=411),
+            "feb4556312e488daf116a2864036ab229b689e982ceb864ba51f0985363b4f2d",
+            "22dc89b18644d83a642da9c01fb65ccfa5c45f93b1596407353c31b6df99aa6c",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
