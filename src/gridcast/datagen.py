@@ -85,10 +85,18 @@ class ScenarioConfig:
             raise ValueError("lane_count out of the supported 2..6 range")
         if len(self.noise_std) != 6 or any(s < 0 for s in self.noise_std):
             raise ValueError("noise_std must be six non-negative values")
+        if self.vehicles_per_scenario < 1:
+            raise ValueError(f"vehicles_per_scenario must be at least 1, got {self.vehicles_per_scenario}")
+        if self.frames_per_record < 2:
+            raise ValueError(f"frames_per_record must be at least 2, got {self.frames_per_record}")
 
     @property
     def maneuver_probs(self) -> np.ndarray:
         return np.array([self.p_lane_keep, self.p_lane_change, self.p_cut_in, self.p_merge])
+
+    @property
+    def ego_lane(self) -> int:
+        return (self.lane_count - 1) // 2
 
 
 @dataclass(eq=False)
@@ -111,135 +119,126 @@ def quintic_profile(tau: np.ndarray) -> np.ndarray:
     return 10.0 * t**3 - 15.0 * t**4 + 6.0 * t**5
 
 
-def _ou_series(rng: np.random.Generator, n: int, stationary_std: float, theta: float) -> np.ndarray:
-    """Mean-zero Ornstein-Uhlenbeck samples at FRAME_DT spacing."""
+def _ou_normals(rng: np.random.Generator, n: int, stationary_std: float) -> np.ndarray:
+    """An n-step OU series' normals: its initial value's (with a non-zero std), then one per step."""
+    return rng.standard_normal(n + 1 if stationary_std > 0 else n)
+
+
+def _ou_rows(normals: np.ndarray, stationary_std: float, theta: float) -> np.ndarray:
+    """Mean-zero OU series at FRAME_DT spacing, one per row of normals as _ou_normals draws them."""
     rho = math.exp(-theta * FRAME_DT)
     innovation = stationary_std * math.sqrt(1.0 - rho * rho)
-    # one array draw is the stream of the scalar draws it replaces: the
-    # initial value's (only with a non-zero std), then one per step
-    normals = rng.standard_normal(n + 1 if stationary_std > 0 else n).tolist()
-    value = stationary_std * normals.pop(0) if stationary_std > 0 else 0.0
-    out = []
-    for z in normals:
-        out.append(value)
+    steps = np.ascontiguousarray(normals.T)
+    value, steps = (stationary_std * steps[0], steps[1:]) if stationary_std > 0 else (np.zeros(len(normals)), steps)
+    out = np.empty(steps.shape)
+    for k, z in enumerate(steps):
+        out[k] = value
         value = rho * value + innovation * z
-    return np.array(out)
+    return out.T
 
 
-def _lane_center(lane: int, config: ScenarioConfig) -> float:
+def _lane_center(lane, config: ScenarioConfig):
     # lanes centered around the road axis; an index of lane_count is the ramp
     return (lane - (config.lane_count - 1) / 2.0) * config.lane_width
 
 
-def _ego_track(rng: np.random.Generator, config: ScenarioConfig, n: int):
-    speed = rng.uniform(config.speed_min, config.speed_max)
-    yaw_rate = _ou_series(rng, n, config.ego_yaw_std, theta=1.0)
-    heading = np.concatenate([[0.0], np.cumsum(yaw_rate[:-1] * FRAME_DT)])
-    ego_lane = (config.lane_count - 1) // 2
-    step = speed * FRAME_DT
-    # math.cos/sin, not np.cos/sin, whose last bit may differ; add.accumulate
-    # sums the steps in frame order
-    steps = [(0.0, _lane_center(ego_lane, config))]
-    steps += [(step * math.cos(h), step * math.sin(h)) for h in heading[:-1].tolist()]
-    pos = np.add.accumulate(np.array(steps), axis=0)
-    return speed, yaw_rate, heading, pos, ego_lane
+def _after_zero(steps: np.ndarray) -> np.ndarray:
+    """Each row's running sum of steps, after a leading 0.0."""
+    return np.concatenate([np.zeros((steps.shape[0], 1)), np.cumsum(steps, axis=1)], axis=1)
 
 
-def _vehicle_track(rng: np.random.Generator, config: ScenarioConfig, ego_lane: int, n: int) -> np.ndarray:
-    """World (x, y) positions of one surrounding vehicle."""
-    maneuver = rng.choice(len(MANEUVERS), p=config.maneuver_probs)
-    name = MANEUVERS[maneuver]
-    total_time = n * FRAME_DT
-
-    if name == "lane_keep":
-        start_lane = int(rng.integers(0, config.lane_count))
-        target_lane = start_lane
-    elif name == "lane_change":
-        start_lane = int(rng.integers(0, config.lane_count))
-        candidates = [l for l in (start_lane - 1, start_lane + 1) if 0 <= l < config.lane_count]
-        target_lane = int(rng.choice(candidates))
-    elif name == "cut_in":
-        candidates = [l for l in (ego_lane - 1, ego_lane + 1) if 0 <= l < config.lane_count]
-        start_lane = int(rng.choice(candidates))
-        target_lane = ego_lane
-    else:  # merge: ramp lane outside the outermost lane
-        start_lane = config.lane_count
-        target_lane = config.lane_count - 1
-
-    if name == "cut_in":
-        x0 = rng.uniform(10.0, 40.0)
-    elif name == "merge":
-        x0 = rng.uniform(20.0, 80.0)
-    else:
-        x0 = rng.uniform(15.0, 130.0)
-
-    speed = rng.uniform(config.speed_min, config.speed_max)
-    jitter = _ou_series(rng, n, config.speed_jitter_std, theta=1.0)
-    x = x0 + np.concatenate([[0.0], np.cumsum((speed + jitter[:-1]) * FRAME_DT)])
-
-    y0 = _lane_center(start_lane, config)
-    y1 = _lane_center(target_lane, config)
-    if start_lane == target_lane:
-        y = np.full(n, y0)
-    else:
-        duration = rng.uniform(config.lane_change_duration_min, config.lane_change_duration_max)
-        duration = min(duration, total_time - 1.0)
-        t_start = rng.uniform(0.2, max(0.21, total_time - duration - 0.2))
-        tau = (np.arange(n) * FRAME_DT - t_start) / duration
-        y = y0 + (y1 - y0) * quintic_profile(tau)
-    return np.column_stack([x, y])
-
-
-def _relative_frames(
-    ego_speed: float,
-    ego_yaw_rate: np.ndarray,
-    ego_heading: np.ndarray,
-    ego_pos: np.ndarray,
-    vehicle_pos: np.ndarray,
-    noise_std,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    n = ego_pos.shape[0]
-    diff = vehicle_pos - ego_pos
-    cos_h = np.cos(ego_heading)
-    sin_h = np.sin(ego_heading)
-    rel_x = cos_h * diff[:, 0] + sin_h * diff[:, 1]
-    rel_y = -sin_h * diff[:, 0] + cos_h * diff[:, 1]
-    vel_x = np.empty(n)
-    vel_y = np.empty(n)
-    vel_x[1:] = np.diff(rel_x) / FRAME_DT
-    vel_y[1:] = np.diff(rel_y) / FRAME_DT
-    vel_x[0] = vel_x[1]
-    vel_y[0] = vel_y[1]
-    frames = np.column_stack([np.full(n, ego_speed), ego_yaw_rate, rel_x, rel_y, vel_x, vel_y])
-    sigma = np.asarray(noise_std)
-    if np.any(sigma > 0):
-        frames = frames + sigma * rng.standard_normal(frames.shape)
-    return frames
+def _ego_rows(speed: np.ndarray, normals: np.ndarray, config: ScenarioConfig):
+    """Each scenario's ego yaw rate and heading, (S, n), and world (x, y)
+    positions, (S, n, 2), from its speed and its yaw rate's normals."""
+    yaw_rate = _ou_rows(normals, config.ego_yaw_std, theta=1.0)
+    heading = _after_zero(yaw_rate[:, :-1] * FRAME_DT)
+    steps = np.empty(yaw_rate.shape + (2,))
+    steps[:, 0] = (0.0, _lane_center(config.ego_lane, config))
+    # math.cos/sin, not np.cos/sin, whose last bit may differ; the cumsum
+    # adds the steps in frame order
+    turns = heading[:, :-1]
+    steps[:, 1:, 0] = np.reshape([math.cos(h) for h in turns.ravel().tolist()], turns.shape)
+    steps[:, 1:, 1] = np.reshape([math.sin(h) for h in turns.ravel().tolist()], turns.shape)
+    steps[:, 1:] *= (speed * FRAME_DT)[:, None, None]
+    return yaw_rate, heading, np.cumsum(steps, axis=1)
 
 
 def generate_dataset(config: ScenarioConfig):
     """All scenarios' records plus the split manifest.
 
     Scenario k uses its own generator seeded from (config.seed, k), so
-    scenarios are independent and the whole dataset is reproducible.
+    scenarios are independent and the whole dataset is reproducible. All
+    draws come first, each scenario's in its stream's order (the ego's, then
+    each vehicle's); then every ego and vehicle is computed at once, as rows.
     Returns (records, manifest) where manifest carries the config and the
     train/val/test scenario-id splits (split by scenario, never by window).
     """
     count = config.n_scenarios
     if count < 3:
         raise ValueError("need at least 3 scenarios to populate all three splits")
-    records: list[TrajectoryRecord] = []
-    n = config.frames_per_record
+    n, per, lanes = config.frames_per_record, config.vehicles_per_scenario, config.lane_count
+    total_time = n * FRAME_DT
+    cut_in_lanes = [l for l in (config.ego_lane - 1, config.ego_lane + 1) if 0 <= l < lanes]
+    sigma = np.asarray(config.noise_std)
+    noisy = np.any(sigma > 0)
+    # each vehicle's measurement noise is drawn into its frames, and the
+    # clean values are added to it once they are computed
+    frames = np.empty((count, per, n, 6))
+    # rng.choice(4, p=probs) is one random() looked up in this cdf, built as
+    # numpy builds it, and rng.choice(seq) is seq[rng.integers(len(seq))]
+    cdf = config.maneuver_probs.astype(np.float64).cumsum()
+    cdf /= cdf[-1]
+    egos, vehicles = [], []
     for sid in range(count):
         rng = np.random.default_rng([config.seed, sid])
-        ego_speed, ego_yaw, ego_heading, ego_pos, ego_lane = _ego_track(rng, config, n)
-        for vid in range(config.vehicles_per_scenario):
-            world = _vehicle_track(rng, config, ego_lane, n)
-            frames = _relative_frames(
-                ego_speed, ego_yaw, ego_heading, ego_pos, world, config.noise_std, rng
-            )
-            records.append(TrajectoryRecord(scenario_id=sid, vehicle_id=vid, frames=frames))
+        egos.append((rng.uniform(config.speed_min, config.speed_max), _ou_normals(rng, n, config.ego_yaw_std)))
+        for vid in range(per):
+            name = MANEUVERS[cdf.searchsorted(rng.random(), side="right")]
+            if name == "lane_keep":
+                start = target = int(rng.integers(0, lanes))
+            elif name == "lane_change":
+                start = int(rng.integers(0, lanes))
+                targets = [l for l in (start - 1, start + 1) if 0 <= l < lanes]
+                target = targets[rng.integers(len(targets))]
+            elif name == "cut_in":
+                start, target = cut_in_lanes[rng.integers(len(cut_in_lanes))], config.ego_lane
+            else:  # merge: ramp lane outside the outermost lane
+                start, target = lanes, lanes - 1
+            x0 = rng.uniform(*{"cut_in": (10.0, 40.0), "merge": (20.0, 80.0)}.get(name, (15.0, 130.0)))
+            speed = rng.uniform(config.speed_min, config.speed_max)
+            jitter = _ou_normals(rng, n, config.speed_jitter_std)
+            duration = t_start = math.nan
+            if start != target:
+                duration = min(rng.uniform(config.lane_change_duration_min, config.lane_change_duration_max), total_time - 1.0)
+                t_start = rng.uniform(0.2, max(0.21, total_time - duration - 0.2))
+            vehicles.append((start, target, x0, speed, duration, t_start, jitter))
+            if noisy:
+                rng.standard_normal((n, 6), out=frames[sid, vid])
+
+    ego_speed, ego_normals = map(np.array, zip(*egos))
+    ego_yaw, heading, ego_pos = _ego_rows(ego_speed, ego_normals, config)
+    start, target, x0, speed, duration, t_start, jitter = map(np.array, zip(*vehicles))
+    jitter = _ou_rows(jitter, config.speed_jitter_std, theta=1.0)
+    x = x0[:, None] + _after_zero((speed[:, None] + jitter[:, :-1]) * FRAME_DT)
+    y0, y1 = _lane_center(start, config), _lane_center(target, config)
+    y = np.repeat(y0[:, None], n, axis=1)
+    change = start != target
+    tau = (np.arange(n) * FRAME_DT - t_start[change, None]) / duration[change, None]
+    y[change] = y0[change, None] + (y1 - y0)[change, None] * quintic_profile(tau)
+
+    # into each ego's frame: rotate by its heading about its position
+    dx, dy = x.reshape(count, per, n), y.reshape(count, per, n)
+    dx -= ego_pos[:, None, :, 0]
+    dy -= ego_pos[:, None, :, 1]
+    cos_h, sin_h = np.cos(heading)[:, None], np.sin(heading)[:, None]
+    rel_x, rel_y = cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy
+    clean = [ego_speed[:, None, None], ego_yaw[:, None], rel_x, rel_y, np.empty_like(rel_x), np.empty_like(rel_y)]
+    for vel, rel in zip(clean[4:], (rel_x, rel_y)):
+        vel[..., 1:] = np.diff(rel) / FRAME_DT
+        vel[..., 0] = vel[..., 1]
+    for k, values in enumerate(clean):
+        frames[..., k] = values + sigma[k] * frames[..., k] if noisy else values
+    records = [TrajectoryRecord(sid, vid, frames[sid, vid]) for sid in range(count) for vid in range(per)]
 
     split_rng = np.random.default_rng([config.seed, 0xBEEF])
     order = list(split_rng.permutation(count))

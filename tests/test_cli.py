@@ -145,6 +145,16 @@ class TestValidation:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting", ["data.vehicles_per_scenario=0", "data.vehicles_per_scenario=-1", "data.frames_per_record=1"]
+    )
+    def test_empty_or_frameless_scenarios_exit_2(self, tmp_path, capsys, setting):
+        out = tmp_path / "x.jsonl"
+        assert main(["datagen", "--out", str(out), "--set", setting]) == 2
+        field = setting.split(".")[1].split("=")[0]
+        assert f"error: section 'data': {field} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):

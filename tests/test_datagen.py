@@ -8,6 +8,7 @@ import os
 import re
 import tempfile
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from gridcast import ogm
 from gridcast.datagen import (
     FRAME_DT,
+    MANEUVERS,
     DatasetFormatError,
     ScenarioConfig,
     TrajectoryRecord,
@@ -25,8 +27,9 @@ from gridcast.datagen import (
     read_manifest,
     write_dataset,
     write_manifest,
-    _ego_track,
-    _ou_series,
+    _ego_rows,
+    _ou_normals,
+    _ou_rows,
 )
 
 
@@ -83,6 +86,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(noise_std=(0.1, 0.1))
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_vehicles_rejected(self, count):
+        with pytest.raises(ValueError, match="vehicles_per_scenario"):
+            ScenarioConfig(vehicles_per_scenario=count)
+
+    @pytest.mark.parametrize("frames", [1, 0])
+    def test_fewer_than_two_frames_rejected(self, frames):
+        # a record's first velocity is its second frame's backward difference
+        with pytest.raises(ValueError, match="frames_per_record"):
+            ScenarioConfig(frames_per_record=frames)
+
 
 SMALL = ScenarioConfig(n_scenarios=6, vehicles_per_scenario=3, frames_per_record=55, seed=3)
 
@@ -114,24 +128,203 @@ def ego_track_reference(rng, config, n):
 
 
 class TestAgainstLoops:
-    """The array forms produce the loops' bits and leave the generator where
-    the loops leave it."""
+    """The row forms produce each row's loop bits, and the draws they take
+    leave each generator where the loops leave it."""
 
     @pytest.mark.parametrize("std", [0.0, 0.004, 0.7])
     def test_ou_series(self, std):
-        a, b = np.random.default_rng([4, 1]), np.random.default_rng([4, 1])
-        assert _ou_series(a, 62, std, 1.0).tobytes() == ou_series_reference(b, 62, std, 1.0).tobytes()
-        assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+        a = [np.random.default_rng([4, r]) for r in range(5)]
+        b = [np.random.default_rng([4, r]) for r in range(5)]
+        rows = _ou_rows(np.array([_ou_normals(rng, 62, std) for rng in a]), std, 1.0)
+        for row, rng_a, rng_b in zip(rows, a, b):
+            assert row.tobytes() == ou_series_reference(rng_b, 62, std, 1.0).tobytes()
+            assert rng_a.standard_normal(3).tobytes() == rng_b.standard_normal(3).tobytes()
 
     @pytest.mark.parametrize("lane_count, yaw_std", [(3, 0.004), (2, 0.05), (4, 0.0)])
     def test_ego_track(self, lane_count, yaw_std):
         config = ScenarioConfig(lane_count=lane_count, ego_yaw_std=yaw_std)
-        a, b = np.random.default_rng([9, 2]), np.random.default_rng([9, 2])
-        got, expected = _ego_track(a, config, 62), ego_track_reference(b, config, 62)
-        assert got[0] == expected[0] and got[4] == expected[4]
-        for x, y in zip(got[1:4], expected[1:4]):
-            assert x.tobytes() == y.tobytes()
-        assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+        a = [np.random.default_rng([9, r]) for r in range(5)]
+        b = [np.random.default_rng([9, r]) for r in range(5)]
+        # the ego's draws as generate_dataset takes them
+        speed, normals = map(np.array, zip(*[
+            (rng.uniform(config.speed_min, config.speed_max), _ou_normals(rng, 62, yaw_std)) for rng in a
+        ]))
+        got = _ego_rows(speed, normals, config)
+        for k, (rng_a, rng_b) in enumerate(zip(a, b)):
+            expected = ego_track_reference(rng_b, config, 62)
+            assert speed[k] == expected[0] and config.ego_lane == expected[4]
+            for x, y in zip(got, expected[1:4]):
+                assert x[k].tobytes() == y.tobytes()
+            assert rng_a.standard_normal(3).tobytes() == rng_b.standard_normal(3).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the per-vehicle generator, kept as generate_dataset's reference: each
+# scenario's ego, then each vehicle's track and frames, computed straight
+# after that vehicle's draws
+# ---------------------------------------------------------------------------
+
+
+def loop_ou_series(rng, n, stationary_std, theta):
+    rho = math.exp(-theta * FRAME_DT)
+    innovation = stationary_std * math.sqrt(1.0 - rho * rho)
+    normals = rng.standard_normal(n + 1 if stationary_std > 0 else n).tolist()
+    value = stationary_std * normals.pop(0) if stationary_std > 0 else 0.0
+    out = []
+    for z in normals:
+        out.append(value)
+        value = rho * value + innovation * z
+    return np.array(out)
+
+
+def loop_lane_center(lane, config):
+    return (lane - (config.lane_count - 1) / 2.0) * config.lane_width
+
+
+def loop_ego_track(rng, config, n):
+    speed = rng.uniform(config.speed_min, config.speed_max)
+    yaw_rate = loop_ou_series(rng, n, config.ego_yaw_std, theta=1.0)
+    heading = np.concatenate([[0.0], np.cumsum(yaw_rate[:-1] * FRAME_DT)])
+    ego_lane = (config.lane_count - 1) // 2
+    step = speed * FRAME_DT
+    steps = [(0.0, loop_lane_center(ego_lane, config))]
+    steps += [(step * math.cos(h), step * math.sin(h)) for h in heading[:-1].tolist()]
+    pos = np.add.accumulate(np.array(steps), axis=0)
+    return speed, yaw_rate, heading, pos, ego_lane
+
+
+def loop_vehicle_track(rng, config, ego_lane, n):
+    maneuver = rng.choice(len(MANEUVERS), p=config.maneuver_probs)
+    name = MANEUVERS[maneuver]
+    total_time = n * FRAME_DT
+
+    if name == "lane_keep":
+        start_lane = int(rng.integers(0, config.lane_count))
+        target_lane = start_lane
+    elif name == "lane_change":
+        start_lane = int(rng.integers(0, config.lane_count))
+        candidates = [l for l in (start_lane - 1, start_lane + 1) if 0 <= l < config.lane_count]
+        target_lane = int(rng.choice(candidates))
+    elif name == "cut_in":
+        candidates = [l for l in (ego_lane - 1, ego_lane + 1) if 0 <= l < config.lane_count]
+        start_lane = int(rng.choice(candidates))
+        target_lane = ego_lane
+    else:
+        start_lane = config.lane_count
+        target_lane = config.lane_count - 1
+
+    if name == "cut_in":
+        x0 = rng.uniform(10.0, 40.0)
+    elif name == "merge":
+        x0 = rng.uniform(20.0, 80.0)
+    else:
+        x0 = rng.uniform(15.0, 130.0)
+
+    speed = rng.uniform(config.speed_min, config.speed_max)
+    jitter = loop_ou_series(rng, n, config.speed_jitter_std, theta=1.0)
+    x = x0 + np.concatenate([[0.0], np.cumsum((speed + jitter[:-1]) * FRAME_DT)])
+
+    y0 = loop_lane_center(start_lane, config)
+    y1 = loop_lane_center(target_lane, config)
+    if start_lane == target_lane:
+        y = np.full(n, y0)
+    else:
+        duration = rng.uniform(config.lane_change_duration_min, config.lane_change_duration_max)
+        duration = min(duration, total_time - 1.0)
+        t_start = rng.uniform(0.2, max(0.21, total_time - duration - 0.2))
+        tau = (np.arange(n) * FRAME_DT - t_start) / duration
+        y = y0 + (y1 - y0) * quintic_profile(tau)
+    return np.column_stack([x, y])
+
+
+def loop_relative_frames(ego_speed, ego_yaw_rate, ego_heading, ego_pos, vehicle_pos, noise_std, rng):
+    n = ego_pos.shape[0]
+    diff = vehicle_pos - ego_pos
+    cos_h = np.cos(ego_heading)
+    sin_h = np.sin(ego_heading)
+    rel_x = cos_h * diff[:, 0] + sin_h * diff[:, 1]
+    rel_y = -sin_h * diff[:, 0] + cos_h * diff[:, 1]
+    vel_x = np.empty(n)
+    vel_y = np.empty(n)
+    vel_x[1:] = np.diff(rel_x) / FRAME_DT
+    vel_y[1:] = np.diff(rel_y) / FRAME_DT
+    vel_x[0] = vel_x[1]
+    vel_y[0] = vel_y[1]
+    frames = np.column_stack([np.full(n, ego_speed), ego_yaw_rate, rel_x, rel_y, vel_x, vel_y])
+    sigma = np.asarray(noise_std)
+    if np.any(sigma > 0):
+        frames = frames + sigma * rng.standard_normal(frames.shape)
+    return frames
+
+
+def loop_dataset(config):
+    count = config.n_scenarios
+    records = []
+    n = config.frames_per_record
+    for sid in range(count):
+        rng = np.random.default_rng([config.seed, sid])
+        ego_speed, ego_yaw, ego_heading, ego_pos, ego_lane = loop_ego_track(rng, config, n)
+        for vid in range(config.vehicles_per_scenario):
+            world = loop_vehicle_track(rng, config, ego_lane, n)
+            frames = loop_relative_frames(ego_speed, ego_yaw, ego_heading, ego_pos, world, config.noise_std, rng)
+            records.append(TrajectoryRecord(scenario_id=sid, vehicle_id=vid, frames=frames))
+
+    split_rng = np.random.default_rng([config.seed, 0xBEEF])
+    order = list(split_rng.permutation(count))
+    n_test = max(1, int(round(count * config.test_frac)))
+    n_val = max(1, int(round((count - n_test) * config.val_frac)))
+    test_ids = sorted(int(s) for s in order[:n_test])
+    val_ids = sorted(int(s) for s in order[n_test : n_test + n_val])
+    train_ids = sorted(int(s) for s in order[n_test + n_val :])
+    manifest = {
+        "config": asdict(config),
+        "n_scenarios": count,
+        "n_records": len(records),
+        "splits": {"train": train_ids, "val": val_ids, "test": test_ids},
+    }
+    return records, manifest
+
+
+_MIXES = [
+    (0.15, 0.45, 0.25, 0.15),  # the default
+    (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0),
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),  # integer-typed
+    (0.5, 0.0, 0.5, 0.0), (0.0, 0.3, 0, 0.7), (0.1, 0.2, 0.3, 0.4),
+    (0.7, 0.1, 0.1, 0.1),  # sums to 1 - 2**-53: the cdf is divided by its last entry
+]
+_noise = st.one_of(st.just((0.0,) * 6), st.tuples(*[st.sampled_from((0.0, 0.003, 0.3, 1))] * 6))
+_configs = st.builds(
+    lambda mix, **fields: ScenarioConfig(**fields, **dict(zip(("p_lane_keep", "p_lane_change", "p_cut_in", "p_merge"), mix))),
+    mix=st.sampled_from(_MIXES),
+    n_scenarios=st.integers(3, 7),
+    vehicles_per_scenario=st.integers(1, 6),
+    frames_per_record=st.integers(2, 80),
+    lane_count=st.integers(2, 6),
+    ego_yaw_std=st.sampled_from((0.0, 0.004, 0.05)),
+    speed_jitter_std=st.sampled_from((0.0, 0.7)),
+    noise_std=_noise,
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestAgainstReference:
+    """generate_dataset draws each scenario's numbers in its stream's order
+    and computes every track as rows; the per-vehicle reference computes
+    each track straight after its draws. Both give the same bytes."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(config=_configs)
+    def test_matches_the_per_vehicle_loop(self, config):
+        # a record of 1 s leaves a lane change no time: tau divides by 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            records, manifest = generate_dataset(config)
+            expected, expected_manifest = loop_dataset(config)
+        assert [(r.scenario_id, r.vehicle_id) for r in records] == [(r.scenario_id, r.vehicle_id) for r in expected]
+        assert all(type(r.scenario_id) is int and type(r.vehicle_id) is int for r in records)
+        for got, want in zip(records, expected):
+            assert got.frames.shape == want.frames.shape and got.frames.dtype == want.frames.dtype
+            assert got.frames.tobytes() == want.frames.tobytes()
+        assert json.dumps(manifest, sort_keys=True) == json.dumps(expected_manifest, sort_keys=True)
 
 
 class TestGenerateDataset:
