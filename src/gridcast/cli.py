@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import datagen, kalman, metrics, nn, ogm, seq2seq, training
 
 try:
@@ -230,9 +232,12 @@ def cmd_datagen(cfg: RunConfig, out_path: str) -> int:
 
 
 def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int | None) -> int:
+    stages = _Stages()
     by_split, _ = datagen.read_dataset(data_path, splits=("train", "val"))
+    stages.lap("read")
     train_windows, _ = training.crop_windows(by_split["train"], cfg.model.obs_len, cfg.model.horizon, cfg.model.grid)
     val_windows, _ = training.crop_windows(by_split["val"], cfg.model.obs_len, cfg.model.horizon, cfg.model.grid)
+    stages.lap("crop")
     if not train_windows or not val_windows:
         print("error: dataset yields no usable training or validation windows", file=sys.stderr)
         return 2
@@ -274,6 +279,18 @@ def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int 
     print(
         f"done ({result.stop_reason}): best val NLL {result.best_val_nll:.4f}; "
         f"checkpoint {out_checkpoint}, metrics {metrics_path}"
+    )
+    stages.lap("train")
+    norms = np.array(result.grad_norms)
+    stages.report(
+        "train",
+        "windows",
+        len(train_windows) * result.trace[-1][0],
+        shards=nn.shard_count(min(tconfig.batch_size, len(train_windows))),
+        # null when no batch ran (train.max_epochs=0)
+        grad_norm_mean=round(float(norms.mean()), 6) if norms.size else None,
+        grad_norm_max=round(float(norms.max()), 6) if norms.size else None,
+        clip_frac=round(float((norms > tconfig.grad_clip_norm).mean()), 6) if norms.size else None,
     )
     return 0
 

@@ -89,6 +89,11 @@ class ScenarioConfig:
             raise ValueError(f"vehicles_per_scenario must be at least 1, got {self.vehicles_per_scenario}")
         if self.frames_per_record < 2:
             raise ValueError(f"frames_per_record must be at least 2, got {self.frames_per_record}")
+        if self.speed_min > self.speed_max:
+            raise ValueError(f"speed_min = {self.speed_min} exceeds speed_max = {self.speed_max}")
+        for name in ("ego_yaw_std", "speed_jitter_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     @property
     def maneuver_probs(self) -> np.ndarray:

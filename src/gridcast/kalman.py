@@ -7,12 +7,14 @@ predict+update over the observation window, then extrapolates by pure
 prediction, quantizing the mean position onto the grid at the label cadence.
 
 The covariance and gain recursion never reads a measurement, so all windows
-of one length share one gain schedule; only the means differ, and they are
-filtered together, N windows at once.
+of one length share one gain schedule, computed once per process for each
+(model, length) and handed out read-only; only the means differ, and they
+are filtered together, N windows at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -133,10 +135,19 @@ def kf_update(state: KalmanState, model: CvModel, z: np.ndarray) -> KalmanState:
     return KalmanState(mean=mean, covariance=_updated_covariance(state.covariance, gain, r))
 
 
+# gain schedules kept per process, least recently used dropped first; a run
+# uses one (its model and window length), tests a few dozen at most
+SCHEDULE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
     """The (length - 1, 4, 4) update gains of a length-frame window and the
-    covariance after its last update. The covariance recursion never reads a
-    measurement, so every window of one length shares them."""
+    covariance after its last update, both read-only. The covariance
+    recursion never reads a measurement, so every window of one length
+    shares them: each (model, length) is computed once per process (equal
+    models share one entry) and every caller gets the same arrays. A failing
+    recursion is not kept, so it raises on every call."""
     f, q = model.transition, model.process_noise
     r = model.measurement_noise
     cov = model.initial_covariance
@@ -151,6 +162,7 @@ def gain_schedule(model: CvModel, length: int) -> tuple[np.ndarray, np.ndarray]:
             cov = _updated_covariance(cov, gains[t], r)
     if not (np.isfinite(gains).all() and np.isfinite(cov).all()):
         raise ValueError(f"Kalman covariance overflows over {length} frames for {model}")
+    gains.flags.writeable = cov.flags.writeable = False
     return gains, cov
 
 
@@ -161,7 +173,8 @@ def _check_window_shape(shape: tuple[int, ...]) -> None:
 
 def kf_filter_rows(windows: np.ndarray, model: CvModel) -> tuple[np.ndarray, np.ndarray]:
     """Filter N (M, 6) observation windows at once on the shared gain
-    schedule: the (N, 4) final means and the final covariance. Measurements
+    schedule: the (N, 4) final means and the final covariance, the
+    schedule's read-only array. Measurements
     are the relative position/velocity features (columns 2..5); a
     non-finite one is a ValueError naming its window and frame."""
     windows = np.asarray(windows, dtype=np.float64)

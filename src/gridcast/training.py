@@ -352,6 +352,8 @@ class TrainResult:
     trace: list[tuple[int, float, float, float]] = field(default_factory=list)
     best_val_nll: float = np.inf
     stop_reason: str = ""
+    # every training batch's gradient norm before clipping, in order
+    grad_norms: list[float] = field(default_factory=list)
 
     def trace_csv(self) -> str:
         lines = ["epoch,train_nll,val_nll,lr"]
@@ -406,7 +408,8 @@ def train(
 ) -> TrainResult:
     """Seeded mini-batch training with gradient clipping, plateau LR halving,
     and early stopping on the validation NLL; returns the best-validation
-    parameters and the per-epoch (epoch, train_nll, val_nll, lr) trace.
+    parameters, the per-epoch (epoch, train_nll, val_nll, lr) trace and
+    every batch's pre-clip gradient norm.
 
     on_epoch, when given, is called after every evaluation as
     on_epoch(epoch, train_nll, val_nll, lr, params, is_best).
@@ -428,6 +431,7 @@ def train(
         best_val = np.inf
         best_params = params.copy()
         evals_since_improvement = 0
+        grad_norms: list[float] = []
 
         train_nll0 = _dataset_nll(params, train_set, tconfig.batch_size, pool)
         val_nll = _dataset_nll(params, val_set, tconfig.batch_size, pool)
@@ -450,7 +454,7 @@ def train(
                     loss, grads = _batch_nll(params, batch, pool)
                 except FloatingPointError as exc:
                     raise TrainingDiverged(str(exc), best_params, trace) from exc
-                clip_gradients(grads, tconfig.grad_clip_norm)
+                grad_norms.append(clip_gradients(grads, tconfig.grad_clip_norm))
                 adam_step(adam, params, grads, lr, tconfig.adam_beta1, tconfig.adam_beta2, tconfig.adam_eps)
                 epoch_loss += loss * len(batch)
                 seen += len(batch)
@@ -480,4 +484,6 @@ def train(
                 stop_reason = "early_stop"
                 break
 
-        return TrainResult(params=best_params, trace=trace, best_val_nll=best_val, stop_reason=stop_reason)
+        return TrainResult(
+            params=best_params, trace=trace, best_val_nll=best_val, stop_reason=stop_reason, grad_norms=grad_norms
+        )

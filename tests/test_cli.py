@@ -155,6 +155,28 @@ class TestValidation:
         assert f"error: section 'data': {field} must be at least" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("data.ego_yaw_std=-0.5", "ego_yaw_std must be non-negative, got -0.5"),
+            ("data.speed_jitter_std=-0.1", "speed_jitter_std must be non-negative, got -0.1"),
+            ("data.speed_min=40", "speed_min = 40.0 exceeds speed_max = 35.0"),
+        ],
+    )
+    def test_bad_vehicle_motion_exits_2(self, tmp_path, capsys, setting, message):
+        out = tmp_path / "x.jsonl"
+        assert main(["datagen", "--out", str(out), "--set", setting]) == 2
+        assert capsys.readouterr().err == f"error: section 'data': {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings", [("data.ego_yaw_std=0", "data.speed_jitter_std=0"), ("data.speed_min=30", "data.speed_max=30")]
+    )
+    def test_zero_ou_std_and_constant_speed_accepted(self, tmp_path, settings):
+        out = str(tmp_path / "x.jsonl")
+        assert main(["datagen", "--out", out, "--set", "data.n_scenarios=3", *(a for x in settings for a in ("--set", x))]) == 0
+        assert len(datagen.read_dataset(out)) == 15
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -255,6 +277,43 @@ class TestPipeline:
         assert main(["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3"] + toy_args("train.max_epochs=1")) == 0
         line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("training on"))
         assert re.match(r"^training on \d+ windows, validating on \d+ \((.*)\)$", line).group(1) == layout
+
+    def test_train_telemetry_line(self, workdir, tmp_path, capsys, monkeypatch):
+        norms, clip = [], training.clip_gradients
+        monkeypatch.setattr(training, "clip_gradients", lambda grads, max_norm: norms.append(clip(grads, max_norm)) or norms[-1])
+        ckpt = str(tmp_path / "model.ckpt")
+        argv = ["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3"]
+        assert main(argv + toy_args("train.grad_clip_norm=0.9")) == 0
+        captured = capsys.readouterr()
+        windows = int(re.match(r"^training on (\d+) windows", captured.out).group(1))
+        [line] = captured.err.splitlines()
+        telemetry = json.loads(line)
+        assert list(telemetry) == [
+            "command", "stage_s", "windows", "windows_per_s", "shards",
+            "grad_norm_mean", "grad_norm_max", "clip_frac", "minor_faults",
+        ]
+        assert telemetry["command"] == "train"
+        assert list(telemetry["stage_s"]) == ["read", "crop", "train"]
+        assert all(v >= 0 for v in telemetry["stage_s"].values())
+        # two epochs of every training window, in batches of 16
+        assert telemetry["windows"] == 2 * windows
+        assert len(norms) == 2 * -(-windows // 16)
+        assert telemetry["windows_per_s"] > 0
+        assert telemetry["shards"] == nn.shard_count(min(16, windows))
+        assert telemetry["grad_norm_mean"] == round(float(np.mean(norms)), 6)
+        assert telemetry["grad_norm_max"] == round(max(norms), 6)
+        assert telemetry["clip_frac"] == round(float(np.mean(np.array(norms) > 0.9)), 6)
+        assert 0 < telemetry["clip_frac"] < 1
+        assert telemetry["minor_faults"] >= 0
+        # stdout and the metrics are those of a run without clipping data
+        assert open(ckpt + ".metrics.csv").readline() == "epoch,train_nll,val_nll,lr\n"
+
+    def test_train_telemetry_without_batches(self, workdir, tmp_path, capsys):
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--data", workdir["data"], "--out", ckpt, "--seed", "3"] + toy_args("train.max_epochs=0")) == 0
+        telemetry = json.loads(capsys.readouterr().err)
+        assert telemetry["windows"] == 0
+        assert telemetry["grad_norm_mean"] is telemetry["grad_norm_max"] is telemetry["clip_frac"] is None
 
     def test_predict_outputs_k_hypotheses(self, workdir, capsys):
         out = os.path.join(workdir["dir"], "hyp.jsonl")

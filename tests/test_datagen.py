@@ -97,6 +97,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="frames_per_record"):
             ScenarioConfig(frames_per_record=frames)
 
+    @pytest.mark.parametrize("name", ["ego_yaw_std", "speed_jitter_std"])
+    def test_negative_ou_std_rejected_by_name(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -0.5$"):
+            ScenarioConfig(**{name: -0.5})
+        ScenarioConfig(**{name: 0.0})  # no motion texture
+
+    def test_speed_range_checked(self):
+        with pytest.raises(ValueError, match=r"^speed_min = 40.0 exceeds speed_max = 35.0$"):
+            ScenarioConfig(speed_min=40.0)
+        ScenarioConfig(speed_min=30.0, speed_max=30.0)  # a constant speed
+
 
 SMALL = ScenarioConfig(n_scenarios=6, vehicles_per_scenario=3, frames_per_record=55, seed=3)
 

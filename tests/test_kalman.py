@@ -2,8 +2,10 @@
 closed-form scalar filter, covariance discipline, forecast exactness, the
 row-batched filter against single rows, the predict/update chain and the
 dense-transition recursion, non-finite measurements, model validation, and
-the forecast cadence against the label cadence."""
+the forecast cadence against the label cadence, and the memoized gain
+schedule."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -231,6 +233,21 @@ def dense_forecast_positions(windows, model, horizon):
 
 
 @st.composite
+def cv_models(draw):
+    """A CvModel with every field drawn, sigma_a 0 among them."""
+    positive = st.floats(0.01, 10.0)
+    return CvModel(
+        sigma_a=draw(st.sampled_from([0.0, 0.3, 2.0, 9.0])),
+        sigma_x=draw(positive),
+        sigma_y=draw(positive),
+        sigma_vx=draw(positive),
+        sigma_vy=draw(positive),
+        init_pos_var=draw(positive),
+        init_vel_var=draw(positive),
+    )
+
+
+@st.composite
 def filter_cases(draw):
     """Finite (N, M, 6) windows of noisy straight tracks over +-200 m, about
     half of the velocity components exactly 0 and the rest of either sign,
@@ -245,17 +262,7 @@ def filter_cases(draw):
     noise = draw(st.sampled_from([0.0, 0.01, 0.5, 20.0]))
     windows[:, :, 2:6] += rng.normal(0.0, noise, size=(n, m, 4))
     windows[:, :, 2:4] = np.clip(windows[:, :, 2:4], -200.0, 200.0)
-    positive = st.floats(0.01, 10.0)
-    model = CvModel(
-        sigma_a=draw(st.sampled_from([0.0, 0.3, 2.0, 9.0])),
-        sigma_x=draw(positive),
-        sigma_y=draw(positive),
-        sigma_vx=draw(positive),
-        sigma_vy=draw(positive),
-        init_pos_var=draw(positive),
-        init_vel_var=draw(positive),
-    )
-    return windows, model, draw(st.integers(1, 12))
+    return windows, draw(cv_models()), draw(st.integers(1, 12))
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,6 +286,46 @@ def test_two_term_step_equals_the_dense_recursion(case):
     for n, obs in enumerate(windows):
         assert np.array_equal(kf_filter_rows(obs[None], model)[0][0], means[n])
         assert kf_forecast(obs, model, horizon, GRID) == forecasts[n].tolist()
+
+
+class TestScheduleMemo:
+    """gain_schedule is computed once per (model, length) in a process and
+    handed out read-only; a failing recursion is not kept."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cv_models(), st.integers(1, 60))
+    def test_memo_equals_the_recursion_read_only(self, model, length):
+        gains, cov = gain_schedule(model, length)
+        ref_gains, ref_cov = gain_schedule.__wrapped__(model, length)
+        assert gains.shape == (length - 1, 4, 4)
+        assert np.array_equal(gains, ref_gains) and np.array_equal(cov, ref_cov)
+        for array in (gains, cov):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        # an equal model built anew is the same key
+        hits = gain_schedule.cache_info().hits
+        again = gain_schedule(dataclasses.replace(model), length)
+        assert gain_schedule.cache_info().hits == hits + 1
+        assert again[0] is gains and again[1] is cov
+        # the filter hands out the shared covariance, still read-only
+        assert kf_filter_rows(np.zeros((2, length, 6)), model)[1] is cov
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (CvModel(init_vel_var=1e308), "innovation covariance is singular at frame 1"),
+            (CvModel(sigma_vx=1.3e154, init_vel_var=1e308), "Kalman covariance overflows over 30 frames"),
+        ],
+    )
+    def test_failing_recursion_raises_on_every_call(self, model, message):
+        size = gain_schedule.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                gain_schedule(model, 30)
+            with pytest.raises(ValueError, match=message):
+                kf_forecast_rows(noisy_windows(3), model, 10, GRID)
+        assert gain_schedule.cache_info().currsize == size
 
 
 class TestNonFinite:
