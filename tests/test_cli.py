@@ -305,7 +305,7 @@ class TestPipeline:
         assert telemetry["clip_frac"] == round(float(np.mean(np.array(norms) > 0.9)), 6)
         assert 0 < telemetry["clip_frac"] < 1
         assert telemetry["minor_faults"] >= 0
-        # stdout and the metrics are those of a run without clipping data
+        # the norms stay out of the metrics CSV
         assert open(ckpt + ".metrics.csv").readline() == "epoch,train_nll,val_nll,lr\n"
 
     def test_train_telemetry_without_batches(self, workdir, tmp_path, capsys):
