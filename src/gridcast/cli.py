@@ -91,9 +91,11 @@ def _parse_value(raw: str, typ, key: str):
     raise ConfigError(f"config key {key}: unsupported field type {typ}")
 
 
-def load_run_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
+def load_run_config(path: str | None = None, overrides: list[str] | None = None, seed: int | None = None) -> RunConfig:
     """Build a RunConfig from an optional key=value file plus
-    ``section.key=value`` override strings."""
+    ``section.key=value`` override strings, then seed (the --seed flag).
+    Keys apply in that order, a later one winning. The run seed, from a
+    ``seed`` key or from seed, also sets data.seed and train.seed."""
     pairs: list[tuple[str, str, str]] = []  # (key, value, where)
     if path:
         try:
@@ -113,12 +115,14 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
             raise ConfigError(f"override {item!r}: expected key=value")
         key, value = item.split("=", 1)
         pairs.append((key.strip(), value.strip(), "command line"))
+    if seed is not None:
+        pairs.append(("seed", str(seed), "--seed"))
 
     section_overrides: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
-    seed: int | None = None
     for key, value, where in pairs:
         if key == "seed":
             seed = _parse_value(value, int, key)
+            section_overrides["data"]["seed"] = section_overrides["train"]["seed"] = seed
             continue
         if "." not in key:
             raise ConfigError(f"{where}: key {key!r} needs a section prefix (e.g. model.cell_dim)")
@@ -146,9 +150,7 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
                     cfg = replace(cfg, **{section: replace(getattr(cfg, section), **values)})
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"section {section!r}: {exc}") from exc
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _derive_grid_ranges(g: dict) -> None:
@@ -172,34 +174,29 @@ def _resolve_type(cls, name: str):
     return hints[name]
 
 
-def _apply_seed(cfg: RunConfig, seed: int | None) -> RunConfig:
-    if seed is None:
-        return cfg
-    return replace(
-        cfg,
-        seed=seed,
-        data=replace(cfg.data, seed=seed),
-        train=replace(cfg.train, seed=seed),
-    )
-
-
 def validate_run_config(cfg: RunConfig) -> None:
     """Cross-field checks, run before any heavy work. eval --checkpoint
     makes them against the checkpoint's config instead (cmd_eval)."""
-    if max(cfg.eval.omegas) > cfg.model.beam_width:
+    _check_model_fits(cfg.model, "the model", cfg.eval, cfg.data.frames_per_record, "records of")
+
+
+def _check_model_fits(
+    model: seq2seq.ModelConfig, whose: str, eval_cfg: metrics.EvalConfig, frames: int, records: str
+) -> None:
+    """ConfigError unless eval_cfg's omegas fit the model's beam, its
+    horizons fit the model's decode steps, and records of this many frames
+    hold the model's window. whose names the model in the messages, and
+    records says which records have that many frames."""
+    if max(eval_cfg.omegas) > model.beam_width:
+        raise ConfigError(f"eval omega {max(eval_cfg.omegas)} exceeds beam width {model.beam_width}")
+    max_step = max(eval_cfg.horizon_steps())
+    if max_step > model.horizon:
+        raise ConfigError(f"eval.horizons_s needs {max_step} decode steps, {whose} decodes {model.horizon}")
+    need = model.obs_len + seq2seq.LABEL_STRIDE * model.horizon
+    if frames < need:
         raise ConfigError(
-            f"eval omega {max(cfg.eval.omegas)} exceeds beam width {cfg.model.beam_width}"
-        )
-    max_step = max(cfg.eval.horizon_steps())
-    if max_step > cfg.model.horizon:
-        raise ConfigError(
-            f"eval horizon needs {max_step} decode steps, model horizon is {cfg.model.horizon}"
-        )
-    need = cfg.model.obs_len + seq2seq.LABEL_STRIDE * cfg.model.horizon
-    if cfg.data.frames_per_record < need:
-        raise ConfigError(
-            f"records of {cfg.data.frames_per_record} frames cannot hold a "
-            f"{cfg.model.obs_len}+{seq2seq.LABEL_STRIDE}*{cfg.model.horizon} window ({need} frames)"
+            f"{records} {frames} frames cannot hold {whose}'s "
+            f"{model.obs_len}+{seq2seq.LABEL_STRIDE}*{model.horizon} window ({need} frames)"
         )
 
 
@@ -260,6 +257,8 @@ def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int 
 
     metrics_path = out_checkpoint + ".metrics.csv"
 
+    # the best parameters are saved when found (epoch 0 always is), so the
+    # checkpoint holds them when training stops or diverges
     def on_epoch(epoch, train_nll, val_nll, lr, params, is_best):
         if is_best:
             seq2seq.save_checkpoint(params, out_checkpoint)
@@ -269,11 +268,8 @@ def cmd_train(cfg: RunConfig, data_path: str, out_checkpoint: str, overfit: int 
         result = training.train(cfg.model, train_windows, val_windows, tconfig, on_epoch=on_epoch)
     except training.TrainingDiverged as exc:
         print(f"error: training diverged ({exc})", file=sys.stderr)
-        if exc.best_params is not None:
-            seq2seq.save_checkpoint(exc.best_params, out_checkpoint)
-            print(f"last good checkpoint kept at {out_checkpoint}", file=sys.stderr)
+        print(f"last good checkpoint kept at {out_checkpoint}", file=sys.stderr)
         return 3
-    seq2seq.save_checkpoint(result.params, out_checkpoint)
     with seq2seq.write_atomic(metrics_path, prefix=".metrics-") as f:
         f.write(result.trace_csv().encode("utf-8"))
     print(
@@ -399,27 +395,12 @@ def cmd_eval(
     else:
         params = seq2seq.load_checkpoint(checkpoint_path)
         model_cfg = params.config
-        if max(eval_cfg.omegas) > model_cfg.beam_width:
-            raise ConfigError(
-                f"eval omega {max(eval_cfg.omegas)} exceeds beam width {model_cfg.beam_width}"
-            )
-        max_step = max(eval_cfg.horizon_steps())
-        if max_step > model_cfg.horizon:
-            raise ConfigError(
-                f"eval.horizons_s needs {max_step} decode steps, checkpoint {checkpoint_path} "
-                f"decodes {model_cfg.horizon}"
-            )
         label = f"encoder-decoder checkpoint {checkpoint_path} (K={model_cfg.beam_width})"
     by_split, records_read = datagen.read_dataset(data_path, splits=("test",))
     test_records = by_split["test"]
-    if not use_kalman:
-        need = model_cfg.obs_len + seq2seq.LABEL_STRIDE * model_cfg.horizon
-        longest = max((rec.frames.shape[0] for rec in test_records), default=need)
-        if longest < need:
-            raise ConfigError(
-                f"test records of at most {longest} frames cannot hold checkpoint {checkpoint_path}'s "
-                f"{model_cfg.obs_len}+{seq2seq.LABEL_STRIDE}*{model_cfg.horizon} window ({need} frames)"
-            )
+    if not use_kalman and test_records:
+        longest = max(rec.frames.shape[0] for rec in test_records)
+        _check_model_fits(model_cfg, f"checkpoint {checkpoint_path}", eval_cfg, longest, "test records of at most")
     stages.lap("read")
 
     grid = model_cfg.grid
@@ -512,8 +493,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_predict(
                 args.checkpoint, args.data, args.out, args.beam_width, args.horizon, args.greedy
             )
-        cfg = load_run_config(getattr(args, "config", None), getattr(args, "set", None))
-        cfg = _apply_seed(cfg, getattr(args, "seed", None))
+        cfg = load_run_config(getattr(args, "config", None), getattr(args, "set", None), getattr(args, "seed", None))
         if args.command == "eval" and args.omega:
             cfg = replace(cfg, eval=replace(cfg.eval, omegas=tuple(args.omega)))
         if not (args.command == "eval" and args.checkpoint is not None):

@@ -253,19 +253,20 @@ def lstm_forward(
     """One step of the gate recursion over (rows, input_dim) inputs and a
     (rows, cell_dim) state; returns the next state and the tape. row_exact
     as for dense_forward_cached. u_product, when given, is these inputs'
-    lstm_input_product, computed beforehand with the same row_exact; the
-    pre-activations are (input product + state product) + bias either way."""
+    lstm_input_product, computed beforehand with the same row_exact, and is
+    only read. The pre-activations are (state product + input product) +
+    bias either way, the bits of (input product + state product) + bias,
+    since a sum of two floats does not depend on their order."""
     u = _rows(u, p.input_dim, "lstm input")
     cdim = p.cell_dim
     if prev.c.shape != (len(u), cdim) or prev.h.shape != (len(u), cdim):
         raise ShapeError(f"lstm state must be ({len(u)}, {cdim}), got c {prev.c.shape}, h {prev.h.shape}")
     if u_product is None:
-        z = _product(u, p.w_u, row_exact)
-    elif u_product.shape == (len(u), 4 * cdim):
-        z = u_product.copy()
-    else:
+        u_product = _product(u, p.w_u, row_exact)
+    elif u_product.shape != (len(u), 4 * cdim):
         raise ShapeError(f"lstm input product must be ({len(u)}, {4 * cdim}), got {u_product.shape}")
-    z += _product(prev.h, p.w_h, row_exact)
+    z = _product(prev.h, p.w_h, row_exact)
+    z += u_product
     z += p.b
     f = sigmoid(z[:, :cdim])
     i = sigmoid(z[:, cdim : 2 * cdim])

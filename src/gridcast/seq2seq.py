@@ -251,60 +251,45 @@ def encode_core(
 ) -> tuple[EncoderSummary, EncoderTapes | None]:
     """Encoder forward over (B, M, 6) observations: B windows of M frames.
 
-    Training (row_exact False) runs step by step through every layer with
-    the plain product, keeping each step's tapes when with_tapes. Inference
-    (row_exact True) keeps no tapes and runs _encode_blocks."""
+    Runs layer by layer over blocks of consecutive time steps. Per block,
+    the normalizer, each dense layer and each LSTM's input product run once
+    over all its rows; only the state product and the gates run per step.
+    A plain product (training) may round a row differently at another row
+    count, so a block holds one step and has the bits of a step-by-step
+    loop. A row-exact block (inference) holds as many whole steps as fit in
+    ENCODE_BLOCK_ROWS rows (one at least), and each row has the bits it has
+    alone. with_tapes keeps each step's tapes, [step][layer], which only the
+    one-step blocks of training have."""
     obs = np.asarray(obs, dtype=np.float64)
-    if row_exact:
-        if with_tapes:
-            raise ValueError("the row-exact encoder keeps no tapes")
-        return _encode_blocks(params, obs), None
+    if row_exact and with_tapes:
+        raise ValueError("the row-exact encoder keeps no tapes")
     batch, steps, _ = obs.shape
     states = [LstmState.zeros(batch, params.config.cell_dim) for _ in params.enc_lstm]
     tapes = EncoderTapes(fc=[], lstm=[]) if with_tapes else None
-    for t in range(steps):
-        u = (obs[:, t] - params.feat_mean) / params.feat_std
-        fc_tapes = []
-        for fc in params.enc_fc:
-            u, tape = nn.dense_forward_cached(fc, u, "relu")
-            fc_tapes.append(tape)
-        lstm_tapes = []
-        for k, cell in enumerate(params.enc_lstm):
-            states[k], tape = nn.lstm_forward(cell, u, states[k])
-            lstm_tapes.append(tape)
-            u = states[k].h
-        if with_tapes:
-            tapes.fc.append(fc_tapes)
-            tapes.lstm.append(lstm_tapes)
-    return EncoderSummary(states=states), tapes
-
-
-def _encode_blocks(params: ModelParams, obs: np.ndarray) -> EncoderSummary:
-    """The row-exact encoder, layer by layer over blocks of consecutive time
-    steps of at most ENCODE_BLOCK_ROWS rows (one step at least). Per block,
-    the normalizer, each dense layer and each LSTM's input product run once
-    over all its rows; only the state product and the gates run per step.
-    Every product is row-exact (nn._product), so each row has the bits of
-    the step-by-step loop's."""
-    batch, steps, _ = obs.shape
-    states = [LstmState.zeros(batch, params.config.cell_dim) for _ in params.enc_lstm]
-    span = max(1, ENCODE_BLOCK_ROWS // batch)
+    span = max(1, ENCODE_BLOCK_ROWS // batch) if row_exact else 1
     for t0 in range(0, steps, span):
         # step-major rows: rows s*batch .. (s+1)*batch - 1 are step t0 + s
         block = obs[:, t0 : t0 + span].transpose(1, 0, 2).reshape(-1, NUM_FEATURES)
         u = (block - params.feat_mean) / params.feat_std
+        fc_tapes = []
         for fc in params.enc_fc:
-            u, _ = nn.dense_forward_cached(fc, u, "relu", row_exact=True)
+            u, tape = nn.dense_forward_cached(fc, u, "relu", row_exact)
+            fc_tapes.append(tape)
+        lstm_tapes = []
         for k, cell in enumerate(params.enc_lstm):
-            u_product = nn.lstm_input_product(cell, u, row_exact=True)
+            u_product = nn.lstm_input_product(cell, u, row_exact)
             outputs = []
             for lo in range(0, len(u), batch):
                 rows = slice(lo, lo + batch)
-                states[k], _ = nn.lstm_forward(cell, u[rows], states[k], row_exact=True, u_product=u_product[rows])
+                states[k], tape = nn.lstm_forward(cell, u[rows], states[k], row_exact, u_product[rows])
                 outputs.append(states[k].h)
+            lstm_tapes.append(tape)
             del u_product  # freed before the next layer's is made: one held at a time
-            u = np.concatenate(outputs)
-    return EncoderSummary(states=states)
+            u = outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
+        if with_tapes:
+            tapes.fc.append(fc_tapes)
+            tapes.lstm.append(lstm_tapes)
+    return EncoderSummary(states=states), tapes
 
 
 # ---------------------------------------------------------------------------

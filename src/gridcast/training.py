@@ -77,6 +77,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.lr0 <= 0 or self.batch_size < 1:
             raise ValueError("lr0 must be positive and batch_size >= 1")
+        if not self.grad_clip_norm > 0:
+            raise ValueError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
 
 
 @dataclass

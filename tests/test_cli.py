@@ -82,6 +82,26 @@ class TestConfigParsing:
             assert "error: config key seed: invalid literal" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x.jsonl")
 
+    def test_seed_key_sets_the_data_and_train_seeds(self):
+        cfg = load_run_config(None, ["seed=7"])
+        assert cfg.seed == cfg.data.seed == cfg.train.seed == 7
+        # keys apply in order, a later one winning; --seed applies last
+        cfg = load_run_config(None, ["seed=7", "data.seed=3"])
+        assert (cfg.seed, cfg.data.seed, cfg.train.seed) == (7, 3, 7)
+        cfg = load_run_config(None, ["data.seed=3", "seed=7"])
+        assert (cfg.seed, cfg.data.seed, cfg.train.seed) == (7, 7, 7)
+        cfg = load_run_config(None, ["seed=7", "train.seed=3"], seed=5)
+        assert cfg.seed == cfg.data.seed == cfg.train.seed == 5
+
+    def test_seed_key_and_flag_write_the_same_dataset(self, tmp_path):
+        outputs = {}
+        for name, args in [("key", ["--set", "seed=7"]), ("flag", ["--seed", "7"]), ("none", [])]:
+            out = str(tmp_path / f"{name}.jsonl")
+            assert main(["datagen", "--out", out, "--set", "data.n_scenarios=3"] + args) == 0
+            outputs[name] = open(out, "rb").read(), open(out + ".manifest.json", "rb").read()
+        assert outputs["key"] == outputs["flag"]
+        assert outputs["key"][0] != outputs["none"][0]
+
     def test_section_validation_surfaces(self):
         with pytest.raises(ConfigError, match="maneuver mix"):
             load_run_config(None, ["data.p_lane_keep=0.9"])
@@ -168,6 +188,20 @@ class TestValidation:
         assert main(["datagen", "--out", str(out), "--set", setting]) == 2
         assert capsys.readouterr().err == f"error: section 'data': {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("train.grad_clip_norm=0", "grad_clip_norm must be positive, got 0.0"),
+            ("train.max_epochs=-3", "max_epochs must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_training_settings_exit_2(self, tmp_path, capsys, setting, message):
+        # rejected with the config, before the dataset is read
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(tmp_path / "none.jsonl"), "--out", str(out), "--set", setting]) == 2
+        assert capsys.readouterr().err == f"error: section 'train': {message}\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
         "settings", [("data.ego_yaw_std=0", "data.speed_jitter_std=0"), ("data.speed_min=30", "data.speed_max=30")]
@@ -307,6 +341,19 @@ class TestPipeline:
         assert telemetry["minor_faults"] >= 0
         # the norms stay out of the metrics CSV
         assert open(ckpt + ".metrics.csv").readline() == "epoch,train_nll,val_nll,lr\n"
+
+    def test_diverged_training_exits_3_keeping_the_epoch_0_checkpoint(self, workdir, tmp_path, capsys):
+        untrained, ckpt = str(tmp_path / "untrained.ckpt"), str(tmp_path / "model.ckpt")
+        argv = ["train", "--data", workdir["data"], "--seed", "3"]
+        assert main(argv + ["--out", untrained] + toy_args("train.max_epochs=0")) == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv + ["--out", ckpt] + toy_args("train.lr0=1e300")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged (")
+        assert err.endswith(f"last good checkpoint kept at {ckpt}\n")
+        assert open(ckpt, "rb").read() == open(untrained, "rb").read()
+        assert not os.path.exists(ckpt + ".metrics.csv")
 
     def test_train_telemetry_without_batches(self, workdir, tmp_path, capsys):
         ckpt = str(tmp_path / "model.ckpt")

@@ -212,9 +212,11 @@ class TestLstmForward:
         u = rng.standard_normal((9, 6))
         prev = nn.LstmState(c=rng.standard_normal((9, 16)), h=rng.standard_normal((9, 16)))
         u_product = nn.lstm_input_product(p, u, row_exact)
+        before = u_product.copy()
         s1, _ = nn.lstm_forward(p, u, prev, row_exact)
         s2, _ = nn.lstm_forward(p, u, prev, row_exact, u_product=u_product)
         assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.h, s2.h)
+        assert np.array_equal(u_product, before)  # only read
 
     def test_input_product_shape_mismatch(self):
         p = nn.LstmParams(w_u=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))

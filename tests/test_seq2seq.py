@@ -148,19 +148,24 @@ class TestEncode:
             encode(params, np.zeros((4, 6)))
 
 
-def step_major_summary(params, windows):
+def step_major_summary(params, windows, row_exact=True):
     """The encoder one time step at a time through every layer, from the nn
-    primitives with row-exact products: the reference the block encoder
-    must reproduce bit for bit."""
+    primitives: the reference the block encoder must reproduce bit for bit.
+    Returns the final states and each step's tapes, [step][layer]."""
     states = [nn.LstmState.zeros(len(windows), params.config.cell_dim) for _ in params.enc_lstm]
+    fc_tapes, lstm_tapes = [], []
     for t in range(windows.shape[1]):
         u = (windows[:, t] - params.feat_mean) / params.feat_std
+        fc_tapes.append([])
         for fc in params.enc_fc:
-            u, _ = nn.dense_forward_cached(fc, u, "relu", row_exact=True)
+            u, tape = nn.dense_forward_cached(fc, u, "relu", row_exact)
+            fc_tapes[-1].append(tape)
+        lstm_tapes.append([])
         for k, cell in enumerate(params.enc_lstm):
-            states[k], _ = nn.lstm_forward(cell, u, states[k], row_exact=True)
+            states[k], tape = nn.lstm_forward(cell, u, states[k], row_exact)
+            lstm_tapes[-1].append(tape)
             u = states[k].h
-    return states
+    return states, fc_tapes, lstm_tapes
 
 
 def block_model(cell_dim, obs_len, seed):
@@ -190,9 +195,32 @@ class TestBlockEncoder:
         obs = np.random.default_rng(windows).standard_normal((windows, obs_len, 6)) * 3
         summary, tapes = seq2seq.encode_core(params, obs, with_tapes=False, row_exact=True)
         assert tapes is None
-        for got, ref in zip(summary.states, step_major_summary(params, obs), strict=True):
+        for got, ref in zip(summary.states, step_major_summary(params, obs)[0], strict=True):
             assert got.c.shape == (windows, cell_dim)
             assert np.array_equal(got.c, ref.c) and np.array_equal(got.h, ref.h)
+
+    @pytest.mark.parametrize("windows", [1, 7, 64, 130])
+    @pytest.mark.parametrize("cell_dim", [128, 16])
+    def test_training_summary_and_tapes_equal_the_plain_product_reference(self, windows, cell_dim):
+        # training blocks hold one step each, so every product keeps the
+        # plain gemm's bits at the batch's own row count
+        params = block_model(cell_dim, 30, seed=windows + cell_dim)
+        obs = np.random.default_rng(windows).standard_normal((windows, 30, 6)) * 3
+        summary, tapes = seq2seq.encode_core(params, obs, with_tapes=True, row_exact=False)
+        states, fc_tapes, lstm_tapes = step_major_summary(params, obs, row_exact=False)
+        for got, ref in zip(summary.states, states, strict=True):
+            assert np.array_equal(got.c, ref.c) and np.array_equal(got.h, ref.h)
+        assert len(tapes.fc) == len(tapes.lstm) == 30
+        pairs = [
+            (getattr(got, name), getattr(ref, name))
+            for got_step, ref_step in zip(tapes.fc + tapes.lstm, fc_tapes + lstm_tapes, strict=True)
+            for got, ref in zip(got_step, ref_step, strict=True)
+            for name in ("u", "out", "h_prev", "c_prev", "f", "i", "o", "g", "tanh_c")
+            if hasattr(ref, name)
+        ]
+        assert len(pairs) == 30 * (2 * 3 + 8 * 2)
+        for got, ref in pairs:
+            assert got.shape == ref.shape and np.array_equal(got, ref)
 
     def test_one_window_equals_its_row_of_a_batch(self):
         params = block_model(128, 30, seed=35)

@@ -204,6 +204,24 @@ class TestClipGradients:
         assert np.array_equal(grads["a"], [0.3, 0.4])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"grad_clip_norm": 0.0}, "grad_clip_norm must be positive, got 0.0"),
+            ({"grad_clip_norm": -1.0}, "grad_clip_norm must be positive, got -1.0"),
+            ({"grad_clip_norm": math.nan}, "grad_clip_norm must be positive, got nan"),
+            ({"max_epochs": -1}, "max_epochs must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_setting_rejected_naming_the_key(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**setting)
+
+    def test_zero_max_epochs_accepted(self):
+        assert TrainConfig(max_epochs=0).max_epochs == 0
+
+
 class TestLrOnPlateau:
     CFG = TrainConfig(plateau_patience=3, plateau_min_delta=1e-3)
 
