@@ -261,12 +261,11 @@ def lstm_forward(
     cdim = p.cell_dim
     if prev.c.shape != (len(u), cdim) or prev.h.shape != (len(u), cdim):
         raise ShapeError(f"lstm state must be ({len(u)}, {cdim}), got c {prev.c.shape}, h {prev.h.shape}")
-    if u_product is None:
-        u_product = _product(u, p.w_u, row_exact)
-    elif u_product.shape != (len(u), 4 * cdim):
+    if u_product is not None and u_product.shape != (len(u), 4 * cdim):
         raise ShapeError(f"lstm input product must be ({len(u)}, {4 * cdim}), got {u_product.shape}")
     z = _product(prev.h, p.w_h, row_exact)
-    z += u_product
+    # a product made here is freed once added, before the gates are made
+    z += _product(u, p.w_u, row_exact) if u_product is None else u_product
     z += p.b
     f = sigmoid(z[:, :cdim])
     i = sigmoid(z[:, cdim : 2 * cdim])
